@@ -17,7 +17,10 @@
 //! [`CampaignScratch`] so steady-state campaigns allocate nothing.  When
 //! `honest_error_rate == 0` the supervisor's verdict is a closed form of
 //! `(held, multiplicity, precomputed, policy)` and the engine skips result
-//! materialization and comparison entirely.
+//! materialization and comparison entirely: it only bins each group's
+//! draws ([`PreparedSampler::sample_binned`], threshold counts in
+//! registers for short tables).  Monte-Carlo drivers group the specs once
+//! per experiment and call `run_campaign_on_groups`.
 //!
 //! All of this is *observationally identical* to the seed per-task loop —
 //! same RNG consumption, same outcome, bit for bit.  The frozen originals
@@ -31,8 +34,8 @@ use crate::outcome::CampaignOutcome;
 use crate::retry::{deliver_assignment, Delivery};
 use crate::supervisor::{Supervisor, VerificationPolicy};
 use crate::task::{
-    colluded_wrong_result, correct_result, faulty_result, grouped_specs, ResultValue, TaskId,
-    TaskSpec,
+    colluded_wrong_result, correct_result, faulty_result, grouped_specs, ResultValue, SpecGroup,
+    TaskId, TaskSpec,
 };
 use redundancy_stats::{
     BinomialCache, DeterministicRng, HypergeometricCache, PreparedSampler, SamplerMode,
@@ -343,6 +346,24 @@ pub fn run_campaign_with_scratch(
     outcome: &mut CampaignOutcome,
     scratch: &mut CampaignScratch,
 ) {
+    run_campaign_on_groups(grouped_specs(tasks), config, rng, outcome, scratch);
+}
+
+/// [`run_campaign_with_scratch`] over a task list already collapsed into
+/// [`SpecGroup`]s.
+///
+/// Monte-Carlo drivers run thousands of campaigns over one task list;
+/// grouping it once per experiment (`grouped_specs(tasks).collect()`)
+/// instead of once per campaign takes a full scan of the specs out of
+/// every campaign.  Any partition of the same task sequence into groups
+/// gives the same outcome and RNG stream.
+pub(crate) fn run_campaign_on_groups(
+    groups: impl IntoIterator<Item = SpecGroup>,
+    config: &CampaignConfig,
+    rng: &mut DeterministicRng,
+    outcome: &mut CampaignOutcome,
+    scratch: &mut CampaignScratch,
+) {
     debug_assert!(config.validate().is_ok(), "invalid campaign config");
     let supervisor = Supervisor::new(config.policy);
     outcome.campaigns += 1;
@@ -366,7 +387,7 @@ pub fn run_campaign_with_scratch(
     if errorless {
         tally.reset();
     }
-    for group in grouped_specs(tasks) {
+    for group in groups {
         let mult = group.multiplicity as u64;
         outcome.tasks += group.count;
         outcome.assignments += group.count * mult;
@@ -386,9 +407,7 @@ pub fn run_campaign_with_scratch(
                 // one uniform per task.  Same law, group-sized cost.
                 table.multinomial_into(group.count, rng, held_counts);
             } else {
-                for _ in 0..group.count {
-                    held_counts[sampler.sample(rng) as usize] += 1;
-                }
+                sampler.sample_binned(group.count, rng, held_counts);
             }
             tally.set_masks(mult, group.precomputed, &config.strategy, majority);
             tally.accumulate(held_counts);
@@ -479,9 +498,22 @@ pub fn run_campaign_with_faults_scratch(
     outcome: &mut CampaignOutcome,
     scratch: &mut CampaignScratch,
 ) {
+    run_campaign_with_faults_on_groups(grouped_specs(tasks), config, faults, rng, outcome, scratch);
+}
+
+/// [`run_campaign_with_faults_scratch`] over pre-grouped specs; see
+/// [`run_campaign_on_groups`].
+pub(crate) fn run_campaign_with_faults_on_groups(
+    groups: impl IntoIterator<Item = SpecGroup>,
+    config: &CampaignConfig,
+    faults: &FaultModel,
+    rng: &mut DeterministicRng,
+    outcome: &mut CampaignOutcome,
+    scratch: &mut CampaignScratch,
+) {
     debug_assert!(faults.validate().is_ok(), "invalid fault model");
     if !faults.is_active() {
-        return run_campaign_with_scratch(tasks, config, rng, outcome, scratch);
+        return run_campaign_on_groups(groups, config, rng, outcome, scratch);
     }
     debug_assert!(config.validate().is_ok(), "invalid campaign config");
     let supervisor = Supervisor::new(config.policy);
@@ -494,7 +526,7 @@ pub fn run_campaign_with_faults_scratch(
         ..
     } = scratch;
     let mode = *mode;
-    for group in grouped_specs(tasks) {
+    for group in groups {
         let mult = group.multiplicity as u64;
         outcome.tasks += group.count;
         outcome.assignments += group.count * mult;

@@ -3,12 +3,11 @@
 
 use crate::adversary::{AdversaryModel, CheatStrategy};
 use crate::engine::{
-    run_campaign_with_faults_scratch, run_campaign_with_scratch, CampaignAccumulator,
-    CampaignConfig,
+    run_campaign_on_groups, run_campaign_with_faults_on_groups, CampaignAccumulator, CampaignConfig,
 };
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
-use crate::task::{expand_plan, TaskSpec};
+use crate::task::{expand_plan, grouped_specs, SpecGroup, TaskId};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
 use redundancy_stats::{Proportion, SamplerMode};
@@ -106,6 +105,12 @@ impl DetectionEstimate {
     }
 }
 
+/// Expand `plan` and group its specs, once per experiment: every campaign
+/// of the experiment runs over the same groups.
+fn plan_groups(plan: &RealizedPlan) -> Vec<SpecGroup> {
+    grouped_specs(&expand_plan(plan)).collect()
+}
+
 /// Run `config.campaigns` campaigns of `plan` under the given adversary and
 /// strategy, in parallel, and aggregate detections.
 pub fn detection_experiment(
@@ -126,7 +131,7 @@ pub fn detection_experiment_with(
     config: &ExperimentConfig,
 ) -> DetectionEstimate {
     campaign.validate().expect("invalid campaign configuration");
-    let tasks: Vec<TaskSpec> = expand_plan(plan);
+    let groups = plan_groups(plan);
     let trial_cfg = TrialConfig {
         trials: config.campaigns,
         chunk_size: config.chunk_size,
@@ -144,7 +149,13 @@ pub fn detection_experiment_with(
         &trial_cfg,
         |rng, _i, acc: &mut CampaignAccumulator| {
             acc.scratch.set_sampler_mode(trial_cfg.sampler);
-            run_campaign_with_scratch(&tasks, campaign, rng, &mut acc.outcome, &mut acc.scratch)
+            run_campaign_on_groups(
+                groups.iter().copied(),
+                campaign,
+                rng,
+                &mut acc.outcome,
+                &mut acc.scratch,
+            )
         },
         |a, b| a.merge(b),
     );
@@ -168,7 +179,7 @@ pub fn faulty_detection_experiment(
 ) -> DetectionEstimate {
     campaign.validate().expect("invalid campaign configuration");
     faults.validate().expect("invalid fault model");
-    let tasks: Vec<TaskSpec> = expand_plan(plan);
+    let groups = plan_groups(plan);
     let trial_cfg = TrialConfig {
         trials: config.campaigns,
         chunk_size: config.chunk_size,
@@ -180,8 +191,8 @@ pub fn faulty_detection_experiment(
         &trial_cfg,
         |rng, _i, acc: &mut CampaignAccumulator| {
             acc.scratch.set_sampler_mode(trial_cfg.sampler);
-            run_campaign_with_faults_scratch(
-                &tasks,
+            run_campaign_with_faults_on_groups(
+                groups.iter().copied(),
                 campaign,
                 faults,
                 rng,
@@ -213,12 +224,13 @@ pub fn sampled_detection_experiment(
 ) -> DetectionEstimate {
     use redundancy_stats::samplers::AliasTable;
     campaign.validate().expect("invalid campaign configuration");
-    // One representative TaskSpec per partition + its weight.
-    let mut reps: Vec<TaskSpec> = Vec::new();
+    // One representative one-task group per partition + its weight.
+    let mut reps: Vec<SpecGroup> = Vec::new();
     let mut weights: Vec<f64> = Vec::new();
     for (next_id, p) in plan.partitions().iter().enumerate() {
-        reps.push(TaskSpec {
-            id: crate::task::TaskId(next_id as u64),
+        reps.push(SpecGroup {
+            first_id: TaskId(next_id as u64),
+            count: 1,
             multiplicity: p.multiplicity as u32,
             precomputed: matches!(
                 p.kind,
@@ -240,7 +252,7 @@ pub fn sampled_detection_experiment(
     #[derive(Default)]
     struct SampledAccumulator {
         acc: CampaignAccumulator,
-        sampled: Vec<TaskSpec>,
+        sampled: Vec<SpecGroup>,
     }
     let acc: SampledAccumulator = run_trials(
         &trial_cfg,
@@ -251,8 +263,8 @@ pub fn sampled_detection_experiment(
             s.sampled.clear();
             s.sampled
                 .extend((0..samples).map(|_| reps[table.sample(rng)]));
-            run_campaign_with_scratch(
-                &s.sampled,
+            run_campaign_on_groups(
+                s.sampled.iter().copied(),
                 campaign,
                 rng,
                 &mut s.acc.outcome,

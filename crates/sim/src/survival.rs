@@ -29,7 +29,7 @@ use crate::task::{expand_plan, TaskSpec};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
 use redundancy_stats::samplers::{sample_binomial, sample_hypergeometric};
-use redundancy_stats::{DeterministicRng, RunningMoments};
+use redundancy_stats::{CountMoments, DeterministicRng};
 
 /// Closed-form expected number of undetected cheats before first detection
 /// when each attempt is caught with probability `p_eff`.
@@ -60,12 +60,14 @@ pub fn p_caught_within(p_eff: f64, attempts: u64) -> f64 {
 }
 
 /// Aggregated survival statistics from simulated careers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SurvivalOutcome {
     /// Undetected cheats completed before the first detection, per career
     /// (careers that were never caught contribute their full cheat count
-    /// and are tallied in `never_caught`).
-    pub free_cheats: RunningMoments,
+    /// and are tallied in `never_caught`).  Kept as exact integer sums, so
+    /// the merged statistics do not depend on how `run_trials` split the
+    /// careers among its workers.
+    pub free_cheats: CountMoments,
     /// Careers in which the adversary exhausted the campaign uncaught.
     pub never_caught: u64,
     /// Total simulated careers.
@@ -149,7 +151,7 @@ pub fn survival_experiment_with(
         &trial_cfg,
         |rng, _i, acc: &mut SurvivalOutcome| {
             let (free, caught) = career(&tasks, config, rng);
-            acc.free_cheats.push(free as f64);
+            acc.free_cheats.push(free);
             if !caught {
                 acc.never_caught += 1;
             }
@@ -274,6 +276,25 @@ mod tests {
         let b = survival_experiment(&plan, &config(0.1), 200, 5);
         assert_eq!(a.free_cheats.mean(), b.free_cheats.mean());
         assert_eq!(a.never_caught, b.never_caught);
+    }
+
+    #[test]
+    fn thread_count_and_scheduling_never_change_the_outcome() {
+        // Which chunks land in which worker's partial follows scheduling;
+        // the merged outcome must not, at any thread count, on any run.
+        let plan = RealizedPlan::balanced(2_000, 0.5).unwrap();
+        let cfg = config(0.1);
+        let want = survival_experiment_with(&plan, &cfg, 200, 11, 1);
+        for threads in [1, 2, 4, 8] {
+            for run in 0..20 {
+                let got = survival_experiment_with(&plan, &cfg, 200, 11, threads);
+                assert_eq!(got, want, "threads {threads}, run {run}");
+                assert_eq!(
+                    got.free_cheats.mean().to_bits(),
+                    want.free_cheats.mean().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

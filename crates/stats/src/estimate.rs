@@ -105,6 +105,113 @@ impl RunningMoments {
     }
 }
 
+/// Exact moments of non-negative integer observations.
+///
+/// Observations below `2^32` cannot overflow the sums.  Keeps the count, `Σx` and `Σx²` as integers, so pushes and merges
+/// commute exactly: any fold order yields the same accumulator and
+/// bit-identical derived statistics.  That is what a
+/// [`run_trials`](crate::parallel::run_trials) accumulator needs, since
+/// which chunks land in which partial follows thread scheduling — an f64
+/// [`RunningMoments`] merge there is not associative.  Mean and variance
+/// are derived at read time.
+///
+/// ```
+/// use redundancy_stats::CountMoments;
+/// let mut m = CountMoments::new();
+/// for x in [1, 2, 3, 4] { m.push(x); }
+/// assert_eq!(m.mean(), 2.5);
+/// assert!((m.sample_variance() - 5.0/3.0).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CountMoments {
+    n: u64,
+    sum: u128,
+    sum_sq: u128,
+    min: Option<u64>,
+    max: Option<u64>,
+}
+
+impl CountMoments {
+    /// New empty accumulator.
+    pub fn new() -> Self {
+        CountMoments::default()
+    }
+
+    /// Add an observation.
+    pub fn push(&mut self, x: u64) {
+        let wide = u128::from(x);
+        self.n += 1;
+        self.sum += wide;
+        self.sum_sq += wide * wide;
+        self.min = Some(self.min.map_or(x, |m| m.min(x)));
+        self.max = Some(self.max.map_or(x, |m| m.max(x)));
+    }
+
+    /// Merge another accumulator; exact and order-insensitive.
+    pub fn merge(&mut self, other: &CountMoments) {
+        self.n += other.n;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+        self.min = match (self.min, other.min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.max = self.max.max(other.max);
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.n
+    }
+
+    /// Sample mean (0 for an empty accumulator).
+    pub fn mean(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.n as f64
+        }
+    }
+
+    /// Unbiased sample variance; 0 with fewer than two observations.
+    ///
+    /// The numerator `n·Σx² − (Σx)²` is computed exactly in integers
+    /// whenever it fits in `u128`, and in f64 beyond that.
+    pub fn sample_variance(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let n = u128::from(self.n);
+        let numerator = match (n.checked_mul(self.sum_sq), self.sum.checked_mul(self.sum)) {
+            (Some(a), Some(b)) => (a - b) as f64,
+            _ => {
+                let mean = self.mean();
+                (self.sum_sq as f64 - self.sum as f64 * mean) * self.n as f64
+            }
+        };
+        numerator / (self.n as f64 * (self.n - 1) as f64)
+    }
+
+    /// Standard error of the mean.
+    pub fn standard_error(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            (self.sample_variance() / self.n as f64).sqrt()
+        }
+    }
+
+    /// Smallest observation (`None` when empty).
+    pub fn min(&self) -> Option<u64> {
+        self.min
+    }
+
+    /// Largest observation (`None` when empty).
+    pub fn max(&self) -> Option<u64> {
+        self.max
+    }
+}
+
 /// Binomial proportion estimator with Wilson score intervals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Proportion {
@@ -281,6 +388,58 @@ mod tests {
         assert!((m.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(m.min(), 2.0);
         assert_eq!(m.max(), 9.0);
+    }
+
+    #[test]
+    fn count_moments_basic() {
+        let mut m = CountMoments::new();
+        assert_eq!((m.count(), m.mean(), m.standard_error()), (0, 0.0, 0.0));
+        assert_eq!((m.min(), m.max()), (None, None));
+        for x in [2, 4, 4, 4, 5, 5, 7, 9] {
+            m.push(x);
+        }
+        assert_eq!(m.count(), 8);
+        assert_eq!(m.mean(), 5.0);
+        assert_eq!(m.sample_variance(), 32.0 / 7.0);
+        assert_eq!((m.min(), m.max()), (Some(2), Some(9)));
+    }
+
+    #[test]
+    fn count_moments_merge_is_exact_in_any_order() {
+        let data: Vec<u64> = (0..200u64).map(|i| (i * 7919) % 53).collect();
+        let mut whole = CountMoments::new();
+        for &x in &data {
+            whole.push(x);
+        }
+        // Fold the same chunks in two different orders.
+        let chunks: Vec<CountMoments> = data
+            .chunks(17)
+            .map(|c| {
+                let mut m = CountMoments::new();
+                c.iter().for_each(|&x| m.push(x));
+                m
+            })
+            .collect();
+        let mut forward = CountMoments::new();
+        chunks.iter().for_each(|c| forward.merge(c));
+        let mut backward = CountMoments::new();
+        chunks.iter().rev().for_each(|c| backward.merge(c));
+        assert_eq!(forward, whole);
+        assert_eq!(backward, whole);
+        assert_eq!(backward.mean().to_bits(), whole.mean().to_bits());
+        let mut empty = CountMoments::new();
+        empty.merge(&whole);
+        assert_eq!(empty, whole);
+    }
+
+    #[test]
+    fn count_moments_variance_falls_back_to_f64_past_u128() {
+        // n·Σx² = 2^128 no longer fits; the f64 form still gives 0.
+        let mut m = CountMoments::new();
+        m.push(1 << 63);
+        m.push(1 << 63);
+        assert_eq!(m.mean(), (1u64 << 63) as f64);
+        assert_eq!(m.sample_variance(), 0.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod samplers;
 pub mod special;
 pub mod table;
 
-pub use estimate::{Histogram, Proportion, RunningMoments};
+pub use estimate::{CountMoments, Histogram, Proportion, RunningMoments};
 pub use gof::{chi_square_test, regularized_gamma_q, ChiSquare};
 pub use parallel::{
     parallel_sweep, run_trials, sweep_thread_split, InvalidTrialConfig, TrialConfig, MAX_THREADS,

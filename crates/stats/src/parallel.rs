@@ -198,9 +198,11 @@ where
     F: Fn(&mut DeterministicRng, u64, &mut A) + Sync,
     M: Fn(&mut A, A),
 {
-    // Debug backstop only: validated configs should never reach here bad,
-    // and CLI-facing callers go through `TrialConfig::validate` first.
-    debug_assert!(config.chunk_size > 0, "chunk_size must be positive");
+    // Backstop in every build: validated configs never reach here bad
+    // (CLI-facing callers go through `TrialConfig::validate` first), and
+    // one compare per call is cheaper than a divide-by-zero panic that
+    // does not name the field.
+    assert!(config.chunk_size > 0, "chunk_size must be positive");
     let n_chunks = config.trials.div_ceil(config.chunk_size);
     let seq = SeedSequence::new(config.seed);
     let threads = config

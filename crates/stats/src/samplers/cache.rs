@@ -43,6 +43,11 @@ const MAX_TABLE_LEN: usize = 4096;
 /// expected stop index is tiny); longer ones use binary search.
 const LINEAR_SCAN_MAX: usize = 128;
 
+/// Tables at most this long are binned by threshold counts in
+/// [`PreparedSampler::sample_binned`]: their `len − 1` thresholds fit one
+/// fixed-width register array of at most this many lanes.
+const THRESHOLD_LANES_MAX: usize = 16;
+
 /// One prepared sampling strategy for a distinct parameter set.
 #[derive(Debug, Clone)]
 enum Plan {
@@ -54,10 +59,14 @@ enum Plan {
     /// Entry `i` is the CDF at `base + i`; `mirror == Some(n)` means the
     /// table was built at `1 − p` and the draw is reflected to `n − k`,
     /// matching [`sample_binomial`]'s `p > ½` recursion.
+    /// `binnable` is set at build time when the table is short enough for
+    /// threshold-count binning and its entries are non-NaN and
+    /// non-decreasing, the condition that makes the binning exact.
     Table {
         base: u64,
         cdf: Box<[f64]>,
         mirror: Option<u64>,
+        binnable: bool,
     },
     /// Parameter sets the walk handles via fallback (pmf(0) underflow) or
     /// that exceed [`MAX_TABLE_LEN`]: call the free function so the RNG
@@ -75,11 +84,26 @@ enum Plan {
 }
 
 impl Plan {
+    /// A CDF-table plan, checked once for threshold-count binning.
+    fn table(base: u64, cdf: Vec<f64>, mirror: Option<u64>) -> Plan {
+        let binnable = cdf.len() <= THRESHOLD_LANES_MAX
+            && cdf.iter().all(|c| !c.is_nan())
+            && cdf.windows(2).all(|w| w[0] <= w[1]);
+        Plan::Table {
+            base,
+            cdf: cdf.into_boxed_slice(),
+            mirror,
+            binnable,
+        }
+    }
+
     #[inline]
     fn sample(&self, rng: &mut DeterministicRng) -> u64 {
         match self {
             Plan::Certain(value) => *value,
-            Plan::Table { base, cdf, mirror } => {
+            Plan::Table {
+                base, cdf, mirror, ..
+            } => {
                 let u = rng.uniform();
                 // The inversion walk returns the first `k` with `cdf_k ≥ u`,
                 // clamped to the end of the support — exactly
@@ -133,6 +157,55 @@ impl<'a> PreparedSampler<'a> {
         self.plan.sample(rng)
     }
 
+    /// Draw `count` values and tally them: `counts[x] += 1` for each draw
+    /// `x`.
+    ///
+    /// Equivalent to `count` calls of [`sample`](Self::sample) — the same
+    /// draws, the same RNG consumption and the same tallies — but a short
+    /// CDF table is hoisted out of the loop and binned by threshold
+    /// counts: each draw adds `(cdf[i] < u)` into a register lane per
+    /// threshold `i < len − 1`, and the bins are recovered at the end by
+    /// differencing the lanes.  Because the table's partial sums are
+    /// non-decreasing, the number of thresholds below `u` is exactly the
+    /// linear scan's first index with `cdf[i] ≥ u`, its clamp at `len − 1`
+    /// included.  Every other plan draws one value at a time.
+    ///
+    /// Panics if a draw falls outside `counts`.
+    pub fn sample_binned(&self, count: u64, rng: &mut DeterministicRng, counts: &mut [u64]) {
+        let Plan::Table {
+            base,
+            cdf,
+            mirror,
+            binnable: true,
+        } = self.plan
+        else {
+            for _ in 0..count {
+                counts[self.sample(rng) as usize] += 1;
+            }
+            return;
+        };
+        // `above[i]` = draws whose index exceeds `i`; lanes past the last
+        // threshold stay 0, which supplies `above[len − 1] = 0`.
+        let thresholds = &cdf[..cdf.len() - 1];
+        let mut above = [0u64; THRESHOLD_LANES_MAX];
+        match thresholds.len() {
+            0..=2 => count_above::<2>(thresholds, count, rng, &mut above),
+            3..=4 => count_above::<4>(thresholds, count, rng, &mut above),
+            5..=8 => count_above::<8>(thresholds, count, rng, &mut above),
+            _ => count_above::<16>(thresholds, count, rng, &mut above),
+        }
+        let mut prev = count;
+        for (idx, &next) in above[..cdf.len()].iter().enumerate() {
+            let k = base + idx as u64;
+            let value = match mirror {
+                Some(n) => n - k,
+                None => k,
+            };
+            counts[value as usize] += prev - next;
+            prev = next;
+        }
+    }
+
     /// The underlying alias table, when this plan is a
     /// [`SamplerMode::Fast`] table.
     ///
@@ -148,6 +221,31 @@ impl<'a> PreparedSampler<'a> {
             _ => None,
         }
     }
+}
+
+/// Threshold-count kernel of [`PreparedSampler::sample_binned`]: for
+/// each of `count` uniforms, add `(thresholds[i] < u)` into lane `i`.
+///
+/// `N` lanes hold the thresholds padded with `+∞` (never below a uniform
+/// in `[0, 1)`), so the inner loop has a fixed trip count, no branch and
+/// no store-to-load chain, and the lanes live in registers.
+#[inline]
+fn count_above<const N: usize>(
+    thresholds: &[f64],
+    count: u64,
+    rng: &mut DeterministicRng,
+    above: &mut [u64; THRESHOLD_LANES_MAX],
+) {
+    let mut padded = [f64::INFINITY; N];
+    padded[..thresholds.len()].copy_from_slice(thresholds);
+    let mut lanes = [0u64; N];
+    for _ in 0..count {
+        let u = rng.uniform();
+        for (lane, &t) in lanes.iter_mut().zip(&padded) {
+            *lane += u64::from(t < u);
+        }
+    }
+    above[..N].copy_from_slice(&lanes);
 }
 
 /// Cached binomial sampler keyed by `(n, p)`.
@@ -233,11 +331,7 @@ impl BinomialCache {
             acc += pmf;
             cdf.push(acc);
         }
-        Plan::Table {
-            base: 0,
-            cdf: cdf.into_boxed_slice(),
-            mirror,
-        }
+        Plan::table(0, cdf, mirror)
     }
 
     /// Draw through a plan id returned by [`prepare`](Self::prepare).
@@ -361,11 +455,7 @@ impl HypergeometricCache {
             acc += pmf;
             cdf.push(acc);
         }
-        Plan::Table {
-            base: k_min,
-            cdf: cdf.into_boxed_slice(),
-            mirror: None,
-        }
+        Plan::table(k_min, cdf, None)
     }
 
     /// Draw through a plan id returned by [`prepare`](Self::prepare).
@@ -617,6 +707,90 @@ mod tests {
                 sample_binomial(&mut b, 4000, 0.5)
             );
         }
+    }
+
+    /// `sample_binned` must equal `count` calls of `sample`: same bins
+    /// and the same RNG state afterwards.
+    fn assert_binned_matches(sampler: PreparedSampler<'_>, bins: usize, count: u64, seed: u64) {
+        let mut one_rng = DeterministicRng::new(seed);
+        let mut binned_rng = one_rng.clone();
+        let mut want = vec![0u64; bins];
+        for _ in 0..count {
+            want[sampler.sample(&mut one_rng) as usize] += 1;
+        }
+        let mut got = vec![0u64; bins];
+        sampler.sample_binned(count, &mut binned_rng, &mut got);
+        assert_eq!(want, got, "{:?}: bins diverged", sampler.plan);
+        assert_eq!(one_rng, binned_rng, "{:?}: RNG diverged", sampler.plan);
+    }
+
+    /// A table whose last entry is `top < 1`, so every uniform above it
+    /// lands on the linear scan's clamp at `len − 1`.
+    fn clamped_table(len: usize, top: f64, mirror: Option<u64>) -> Plan {
+        let cdf = (1..=len).map(|i| top * i as f64 / len as f64).collect();
+        Plan::table(2, cdf, mirror)
+    }
+
+    #[test]
+    fn binned_draws_clamp_at_the_last_entry_at_every_lane_width() {
+        for len in [1usize, 2, 3, 4, 5, 8, 9, 15, 16, 17] {
+            for mirror in [None, Some(40)] {
+                let plan = clamped_table(len, 0.3, mirror);
+                let binnable = matches!(plan, Plan::Table { binnable: true, .. });
+                assert_eq!(binnable, len <= THRESHOLD_LANES_MAX, "len {len}");
+                let sampler = PreparedSampler { plan: &plan };
+                assert_binned_matches(sampler, 41, 5_000, len as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn binned_draws_fall_back_on_tables_that_fail_the_monotone_check() {
+        let decreasing = Plan::table(0, vec![0.5, 0.2, 0.9, 1.0], None);
+        let nan = Plan::table(0, vec![0.1, f64::NAN, 0.8, 1.0], None);
+        for plan in [&decreasing, &nan] {
+            assert!(matches!(
+                plan,
+                Plan::Table {
+                    binnable: false,
+                    ..
+                }
+            ));
+            assert_binned_matches(PreparedSampler { plan }, 4, 2_000, 3);
+        }
+    }
+
+    #[test]
+    fn binned_draws_match_sample_on_real_plans() {
+        let mut binomial = BinomialCache::default();
+        let mut hyper = HypergeometricCache::default();
+        let mut seed = 700;
+        // Lane-width edges: tables of 2, 4, 8, 16 and 17 entries, plain
+        // and mirrored; degenerate and delegated plans.
+        for n in [0u64, 1, 3, 7, 15, 16, 40, 4000] {
+            for p in [0.0, 0.1, 0.5, 0.8, 1.0] {
+                seed += 1;
+                let id = binomial.prepare(n, p);
+                assert_binned_matches(binomial.prepared(id), n as usize + 1, 3_000, seed);
+            }
+        }
+        for (t, s, d) in [(20u64, 8u64, 15u64), (10, 0, 5), (5, 5, 5), (100, 30, 12)] {
+            seed += 1;
+            let id = hyper.prepare(t, s, d);
+            assert_binned_matches(hyper.prepared(id), d as usize + 1, 3_000, seed);
+        }
+    }
+
+    #[test]
+    fn binned_draws_of_zero_tasks_touch_nothing() {
+        let mut cache = BinomialCache::default();
+        let id = cache.prepare(5, 0.3);
+        let mut rng = DeterministicRng::new(1);
+        let before = rng.clone();
+        let mut counts = vec![7u64; 6];
+        cache.prepared(id).sample_binned(0, &mut rng, &mut counts);
+        assert_eq!(counts, vec![7u64; 6]);
+        assert_eq!(rng, before);
     }
 
     #[test]

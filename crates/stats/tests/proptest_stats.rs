@@ -103,6 +103,61 @@ proptest! {
             "RNG consumption diverged ({},{},{})", total, successes, draws);
     }
 
+    /// `sample_binned` of `count` binomial draws equals `count` calls of
+    /// `sample`: same bins and the same RNG state afterwards.  `n` spans
+    /// the threshold-lane widths (tables of 2..=16 entries) and the
+    /// per-draw fallback beyond them; `p > ½` exercises the mirror.
+    #[test]
+    fn binomial_binned_draws_match_per_draw_sampling(
+        n in 0u64..40,
+        p_mill in 0u32..=1000,
+        count in 0u64..2_000,
+        seed in 0u64..1000,
+    ) {
+        let p = p_mill as f64 / 1000.0;
+        let mut cache = BinomialCache::default();
+        let id = cache.prepare(n, p);
+        let sampler = cache.prepared(id);
+        let mut one_rng = DeterministicRng::new(seed);
+        let mut binned_rng = one_rng.clone();
+        let mut want = vec![0u64; n as usize + 1];
+        for _ in 0..count {
+            want[sampler.sample(&mut one_rng) as usize] += 1;
+        }
+        let mut got = vec![0u64; n as usize + 1];
+        sampler.sample_binned(count, &mut binned_rng, &mut got);
+        prop_assert_eq!(want, got, "n={} p={} count={}", n, p, count);
+        prop_assert_eq!(one_rng, binned_rng, "RNG diverged n={} p={}", n, p);
+    }
+
+    /// The same for hypergeometric tables, whose support starts at
+    /// `base = draws − (total − successes)` when that is positive.
+    #[test]
+    fn hypergeometric_binned_draws_match_per_draw_sampling(
+        total in 1u64..60,
+        succ_frac in 0u32..=100,
+        draw_frac in 0u32..=100,
+        count in 0u64..2_000,
+        seed in 0u64..1000,
+    ) {
+        let successes = total * succ_frac as u64 / 100;
+        let draws = total * draw_frac as u64 / 100;
+        let mut cache = HypergeometricCache::default();
+        let id = cache.prepare(total, successes, draws);
+        let sampler = cache.prepared(id);
+        let mut one_rng = DeterministicRng::new(seed);
+        let mut binned_rng = one_rng.clone();
+        let mut want = vec![0u64; draws as usize + 1];
+        for _ in 0..count {
+            want[sampler.sample(&mut one_rng) as usize] += 1;
+        }
+        let mut got = vec![0u64; draws as usize + 1];
+        sampler.sample_binned(count, &mut binned_rng, &mut got);
+        prop_assert_eq!(want, got, "({},{},{}) count={}", total, successes, draws, count);
+        prop_assert_eq!(one_rng, binned_rng,
+            "RNG diverged ({},{},{})", total, successes, draws);
+    }
+
     /// Hypergeometric samples respect their support bounds.
     #[test]
     fn hypergeometric_support(

@@ -50,6 +50,40 @@ fn plan_analyze_simulate_pipeline() {
 }
 
 #[test]
+fn simulate_output_is_pinned_byte_for_byte() {
+    // The default bit-compat campaign kernel must replay the seed's draws
+    // exactly: these bytes were recorded before threshold-count binning
+    // and group-once experiments replaced the per-draw loop.
+    let out = cli(&[
+        "simulate",
+        "--tasks",
+        "100000",
+        "--epsilon",
+        "0.5",
+        "--proportion",
+        "0.1",
+        "--threads",
+        "2",
+        "--campaigns",
+        "20",
+        "--seed",
+        "1",
+    ])
+    .unwrap();
+    let expected = "\
+simulated 20 campaigns of balanced (100,000 tasks each, adversary share 0.1, seed 1)
+k  attacks  detected    rate            95% CI
+----------------------------------------------
+1   258772    120184  0.4644  [0.4625, 0.4664]
+2     8900      4117  0.4626  [0.4522, 0.4730]
+3      226       113  0.5000  [0.4354, 0.5646]
+4        5         4  0.8000  [0.3755, 0.9638]
+wrong results accepted: 143485; false flags: 0
+";
+    assert_eq!(out, expected);
+}
+
+#[test]
 fn errors_propagate_as_messages() {
     let err = cli(&["plan", "--tasks", "0", "--epsilon", "0.5"]).unwrap_err();
     assert!(err.contains("task"), "{err}");
