@@ -938,8 +938,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ArgError> {
         "repro" => {
             // `repro` mixes one positional (the exhibit name) with its own
             // booleans and the shared exhibit flags, so it walks the argv
-            // itself and hands the shared flags to the registry's parser —
-            // the same code path the legacy standalone binaries use.
+            // itself and hands the shared flags to the registry's parser.
             let mut exhibit: Option<String> = None;
             let mut list = false;
             let mut all = false;
@@ -977,7 +976,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ArgError> {
                 }
                 i += 1;
             }
-            let ctx = redundancy_repro::ExhibitCtx::parse_from(&shared, true).map_err(|e| {
+            let ctx = redundancy_repro::ExhibitCtx::parse_from(&shared).map_err(|e| {
                 use redundancy_repro::CtxError;
                 match e {
                     CtxError::MissingValue(flag) => ArgError::MissingValue(flag),
@@ -1767,8 +1766,7 @@ mod tests {
                 ctx: redundancy_repro::ExhibitCtx::default(),
             }
         );
-        // The shared seed default is the conference date, same as the
-        // legacy binaries.
+        // The shared seed default is the conference date.
         match cmd {
             Command::Repro { ctx, .. } => assert_eq!(ctx.seed, 20_050_926),
             _ => unreachable!(),

@@ -1,13 +1,14 @@
 //! The `redundancy bench` subcommand: pinned performance fixtures with a
 //! machine-readable report and a regression gate.
 //!
-//! Unlike the criterion benches (which explore), this command *pins*: a
-//! fixed set of fixtures — the batched campaign kernel against its frozen
-//! reference, the cached samplers against the per-draw walks, `run_trials`
-//! thread scaling, the churn soak, the live-serve protocol loop, and an LP
-//! sweep — each run `reps` times with the median wall time reported.  The result is written as `redundancy-bench/v1`
-//! JSON so CI can archive it and compare runs; `--baseline` fails the
-//! command (exit 2) when any fixture's median regresses beyond 2x.
+//! This command *pins*: a fixed set of fixtures — the batched campaign
+//! kernel against its frozen reference, the cached samplers against the
+//! per-draw walks, `run_trials` thread scaling, the churn soak, the
+//! live-serve protocol loop, and an LP sweep — each run `reps` times with
+//! the median wall time reported.  The result is written as
+//! `redundancy-bench/v1` JSON so CI can archive it and compare runs;
+//! `--baseline` fails the command (exit 2) when any fixture's median
+//! regresses beyond 2x.
 //!
 //! Every fixture returns a checksum folded from its outputs, both to keep
 //! the optimizer honest and to make silent semantic drift visible when two

@@ -332,12 +332,7 @@ fn repro(
                     .map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
                 let _ = writeln!(out, "  [json written to {path}]");
             }
-            if !report.passed {
-                return Err(CliError::Invalid(format!(
-                    "exhibit `{}` reported failed self-checks:\n{out}",
-                    entry.name()
-                )));
-            }
+            out = verdict(entry.name(), &report, out)?;
         }
         let _ = writeln!(
             out,
@@ -359,9 +354,9 @@ fn repro(
     };
     let start = std::time::Instant::now();
     let report = entry.run(ctx);
-    // Byte-identical to the standalone binary: the registry's shared
-    // emitter renders the text and performs the --csv side effect.
-    let mut out = redundancy_repro::emit_text(&report, ctx);
+    // The registry's shared emitter renders the text and performs the
+    // --csv side effect.
+    let out = redundancy_repro::emit_text(&report, ctx);
     if let Some(path) = json {
         std::fs::write(path, to_string_pretty(&report.to_json(ctx)))
             .map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
@@ -375,14 +370,21 @@ fn repro(
             start.elapsed(),
         );
     }
-    if !report.passed {
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "exhibit `{name}` reported failed self-checks (see above)."
-        );
+    verdict(name, &report, out)
+}
+
+/// Map an exhibit's self-check verdict onto the command result: `out` on
+/// success, or an error carrying `out` when the exhibit reported failed
+/// self-checks, so the process exits non-zero with the report still
+/// visible.
+fn verdict(name: &str, report: &redundancy_repro::Report, out: String) -> Result<String, CliError> {
+    if report.passed {
+        Ok(out)
+    } else {
+        Err(CliError::Invalid(format!(
+            "exhibit `{name}` reported failed self-checks:\n{out}"
+        )))
     }
-    Ok(out)
 }
 
 /// Reject CLI-supplied trial-runner parameters that `run_trials` would only
@@ -589,8 +591,8 @@ redundancy repro --list
 redundancy repro --all [--json DIR] [shared flags]
 
 Regenerates the paper's tables and figures from the exhibit registry.  A
-single exhibit prints exactly what its legacy standalone binary prints
-(byte-identical, pinned by the golden snapshots); --json additionally
+single exhibit prints its text report (byte-identical, pinned by the
+golden snapshots) and fails if its self-checks fail; --json additionally
 writes a `repro-report/v1` JSON document (see docs/REPORTS.md).  --list
 prints the registry index; --all runs every exhibit, writing one JSON
 document per exhibit when --json names a directory.  --trials-scale
@@ -2913,6 +2915,21 @@ mod tests {
         let ctx = redundancy_repro::ExhibitCtx::default();
         assert_eq!(out, entry.run(&ctx).render_text());
         assert!(out.starts_with("=== Figure 4 ===\n"));
+    }
+
+    #[test]
+    fn failed_self_checks_fail_the_command_and_keep_the_report() {
+        let mut report = redundancy_repro::Report::new("demo", "Demo", "d");
+        let out = report.render_text();
+        assert_eq!(verdict("demo", &report, out.clone()).unwrap(), out);
+        report.passed = false;
+        let err = verdict("demo", &report, out.clone()).unwrap_err();
+        let message = err.to_string();
+        assert!(
+            message.contains("exhibit `demo` reported failed self-checks"),
+            "{message}"
+        );
+        assert!(message.contains(&out), "{message}");
     }
 
     #[test]

@@ -9,12 +9,8 @@
 //! snapshots), as CSV (`--csv`), and as a versioned `repro-report/v1` JSON
 //! document (`redundancy repro --json`, schema in docs/REPORTS.md).
 //!
-//! Two front doors run the same registry entries:
-//!
-//! * `redundancy repro <name>` — the unified CLI subcommand (plus
-//!   `--list`, `--all`, `--json <path>`);
-//! * the 13 standalone binaries under `src/bin/`, thin shims over
-//!   [`exhibit_main`].
+//! `redundancy repro <name>` is the one front door (plus `--list`,
+//! `--all`, `--json <path>`).
 //!
 //! The authoritative exhibit index is [`render_index`] (what
 //! `redundancy repro --list` prints, snapshot-pinned under
@@ -55,7 +51,7 @@ pub const DEFAULT_SEED: u64 = 20_050_926;
 /// Implementations are stateless unit structs in `src/exhibits/`; adding a
 /// workload means adding one module and one registry line, not a binary.
 pub trait Exhibit: Sync {
-    /// Registry name; also the legacy standalone binary name.
+    /// Registry name, as given to `redundancy repro <name>`.
     fn name(&self) -> &'static str;
     /// One-line summary for `redundancy repro --list`.
     fn summary(&self) -> &'static str;
@@ -77,8 +73,8 @@ pub fn find(name: &str) -> Option<&'static dyn Exhibit> {
     registry().iter().copied().find(|e| e.name() == name)
 }
 
-/// Shared execution context for every exhibit, parsed once by the shared
-/// flag parser (used by both the legacy binaries and `redundancy repro`).
+/// Shared execution context for every exhibit, parsed from the
+/// `redundancy repro` flags by [`ExhibitCtx::parse_from`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExhibitCtx {
     /// RNG seed (`--seed`).
@@ -107,8 +103,7 @@ impl Default for ExhibitCtx {
 
 /// Failures from the shared exhibit flag parser.  Rendered messages match
 /// the `redundancy` CLI's conventions (name the flag, say what was
-/// expected) and drive the established exit-code-2 path in both front
-/// doors.
+/// expected) and drive the established exit-code-2 path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtxError {
     /// Flag present but no value followed.
@@ -122,8 +117,7 @@ pub enum CtxError {
         /// What would have been accepted.
         expected: &'static str,
     },
-    /// Unknown flag (only when parsing strictly, i.e. for the CLI
-    /// subcommand; the legacy binaries ignore unknown flags).
+    /// Unknown flag.
     UnknownFlag(String),
 }
 
@@ -147,13 +141,10 @@ impl ExhibitCtx {
     /// Parse the shared exhibit flags from an argv slice (program name
     /// excluded).
     ///
-    /// `reject_unknown` selects the two front doors' behaviors: the
-    /// `redundancy repro` subcommand is strict, while the legacy binaries
-    /// ignore flags they do not know (the snapshot harness and older
-    /// scripts rely on that).  Known flags are always validated —
-    /// `--trials-scale 0` or a malformed `--seed` is an error naming the
-    /// flag, never a silent fallback.
-    pub fn parse_from(args: &[String], reject_unknown: bool) -> Result<Self, CtxError> {
+    /// Every flag is validated: an unknown flag, `--trials-scale 0` or a
+    /// malformed `--seed` is an error naming the flag, never a silent
+    /// fallback.
+    pub fn parse_from(args: &[String]) -> Result<Self, CtxError> {
         fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, CtxError> {
             args.get(i + 1)
                 .map(String::as_str)
@@ -208,21 +199,11 @@ impl ExhibitCtx {
                     ctx.threads = threads;
                     i += 1;
                 }
-                other if reject_unknown => {
-                    return Err(CtxError::UnknownFlag(other.into()));
-                }
-                _ => {}
+                other => return Err(CtxError::UnknownFlag(other.into())),
             }
             i += 1;
         }
         Ok(ctx)
-    }
-
-    /// Parse from `std::env::args` with the legacy binaries' semantics
-    /// (unknown flags ignored, known flags validated).
-    pub fn parse_env() -> Result<Self, CtxError> {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse_from(&args, false)
     }
 }
 
@@ -257,8 +238,7 @@ pub fn render_index() -> String {
 ///
 /// When `ctx.csv` is set and the write succeeds, the historical
 /// `\n[csv written to <path>]` note is appended; a failed write warns on
-/// stderr and leaves stdout untouched, exactly like the old per-binary
-/// `maybe_write_csv`.
+/// stderr and leaves stdout untouched.
 pub fn emit_text(report: &Report, ctx: &ExhibitCtx) -> String {
     let mut out = report.render_text();
     if let (Some(path), Some(body)) = (&ctx.csv, report.render_csv()) {
@@ -269,28 +249,6 @@ pub fn emit_text(report: &Report, ctx: &ExhibitCtx) -> String {
         }
     }
     out
-}
-
-/// Shared `main` for the legacy standalone binaries: parse the shared
-/// flags, run the named registry entry, print its text rendering, honor
-/// `--csv`, emit the stderr throughput footer, and exit 1 if the exhibit's
-/// self-checks failed (2 on flag errors).
-pub fn exhibit_main(name: &str) -> ! {
-    let ctx = match ExhibitCtx::parse_env() {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let exhibit = find(name).unwrap_or_else(|| panic!("exhibit `{name}` not in the registry"));
-    let start = std::time::Instant::now();
-    let report = exhibit.run(&ctx);
-    print!("{}", emit_text(&report, &ctx));
-    if report.tasks > 0 {
-        throughput_footer(name, report.tasks, report.assignments, start.elapsed());
-    }
-    std::process::exit(if report.passed { 0 } else { 1 });
 }
 
 /// Print a wall-time / throughput footer for a Monte-Carlo exhibit.
@@ -335,19 +293,16 @@ mod tests {
 
     #[test]
     fn parses_all_shared_flags() {
-        let ctx = ExhibitCtx::parse_from(
-            &argv(&[
-                "--seed",
-                "7",
-                "--csv",
-                "out.csv",
-                "--trials-scale",
-                "3",
-                "--threads",
-                "2",
-            ]),
-            true,
-        )
+        let ctx = ExhibitCtx::parse_from(&argv(&[
+            "--seed",
+            "7",
+            "--csv",
+            "out.csv",
+            "--trials-scale",
+            "3",
+            "--threads",
+            "2",
+        ]))
         .unwrap();
         assert_eq!(ctx.seed, 7);
         assert_eq!(ctx.csv.as_deref(), Some("out.csv"));
@@ -357,7 +312,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_trials_scale_naming_the_flag() {
-        let err = ExhibitCtx::parse_from(&argv(&["--trials-scale", "0"]), false).unwrap_err();
+        let err = ExhibitCtx::parse_from(&argv(&["--trials-scale", "0"])).unwrap_err();
         assert!(err.to_string().contains("--trials-scale"), "{err}");
         assert!(matches!(err, CtxError::BadValue { flag, .. } if flag == "--trials-scale"));
     }
@@ -365,24 +320,22 @@ mod tests {
     #[test]
     fn rejects_malformed_values_instead_of_silent_defaults() {
         for flags in [["--seed", "banana"], ["--threads", "many"]] {
-            let err = ExhibitCtx::parse_from(&argv(&flags), false).unwrap_err();
+            let err = ExhibitCtx::parse_from(&argv(&flags)).unwrap_err();
             assert!(err.to_string().contains(flags[0]), "{err}");
         }
-        let err = ExhibitCtx::parse_from(&argv(&["--threads", "99999"]), false).unwrap_err();
+        let err = ExhibitCtx::parse_from(&argv(&["--threads", "99999"])).unwrap_err();
         assert!(err.to_string().contains("--threads"), "{err}");
     }
 
     #[test]
-    fn unknown_flags_ignored_only_in_lenient_mode() {
-        let lenient = ExhibitCtx::parse_from(&argv(&["--bogus", "1", "--seed", "9"]), false);
-        assert_eq!(lenient.unwrap().seed, 9);
-        let strict = ExhibitCtx::parse_from(&argv(&["--bogus", "1"]), true);
-        assert_eq!(strict, Err(CtxError::UnknownFlag("--bogus".into())));
+    fn unknown_flags_are_rejected() {
+        let parsed = ExhibitCtx::parse_from(&argv(&["--seed", "9", "--bogus", "1"]));
+        assert_eq!(parsed, Err(CtxError::UnknownFlag("--bogus".into())));
     }
 
     #[test]
     fn missing_value_is_reported() {
-        let err = ExhibitCtx::parse_from(&argv(&["--seed"]), false).unwrap_err();
+        let err = ExhibitCtx::parse_from(&argv(&["--seed"])).unwrap_err();
         assert_eq!(err, CtxError::MissingValue("--seed".into()));
     }
 

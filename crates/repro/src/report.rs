@@ -5,11 +5,10 @@
 //! optional CSV row set, Monte-Carlo throughput counters, and a pass/fail
 //! verdict.  One report renders three ways:
 //!
-//! * [`Report::render_text`] — the plain-text exhibit, byte-identical to
-//!   what the standalone binaries have always printed (and what the golden
-//!   snapshots under `tests/snapshots/` pin);
-//! * [`Report::render_csv`] — the `--csv` payload, identical to the old
-//!   per-binary `maybe_write_csv` output;
+//! * [`Report::render_text`] — the plain-text exhibit that
+//!   `redundancy repro <name>` prints (and the golden snapshots under
+//!   `tests/snapshots/` pin);
+//! * [`Report::render_csv`] — the `--csv` payload;
 //! * [`Report::to_json`] — a versioned [`SCHEMA`] (`repro-report/v1`)
 //!   document for dashboards and benchmarking pipelines, documented in
 //!   docs/REPORTS.md.
@@ -46,7 +45,7 @@ pub struct CsvRows {
 /// The structured output of one exhibit run.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Registry name (also the legacy binary name).
+    /// Registry name.
     pub exhibit: String,
     /// Banner title, e.g. `Figure 1`.
     pub title: String,
@@ -59,7 +58,7 @@ pub struct Report {
     /// CSV row set, if the exhibit has one.
     pub csv: Option<CsvRows>,
     /// `false` when a self-checking exhibit (theory_checks) found a
-    /// violated claim; the shim binaries exit 1 in that case.
+    /// violated claim; `redundancy repro` then exits non-zero.
     pub passed: bool,
     /// Simulated tasks, for the stderr throughput footer (0 = no footer).
     pub tasks: u64,

@@ -589,10 +589,9 @@ pub(crate) fn run_campaign_with_faults_on_groups(
 ///
 /// These are the original per-task, uncached, allocate-per-campaign loops,
 /// kept verbatim as (a) the oracle for the differential tests that prove
-/// the batched kernel bit-identical, and (b) the baseline the criterion
-/// benches and `redundancy bench` measure the speedup against.  Do not
-/// optimize or "clean up" this module: its entire value is that it stays
-/// put.
+/// the batched kernel bit-identical, and (b) the baseline `redundancy
+/// bench` measures the speedup against.  Do not optimize or "clean up"
+/// this module: its entire value is that it stays put.
 pub mod reference {
     use super::*;
     use redundancy_stats::samplers::{sample_binomial, sample_hypergeometric};

@@ -1,8 +1,6 @@
 //! Integration: the `redundancy` CLI drives the whole stack end to end.
 
 use redundancy_cli::run;
-use redundancy_integration::snapshot::binary_path;
-use std::process::Command;
 
 fn cli(parts: &[&str]) -> Result<String, String> {
     let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
@@ -240,104 +238,12 @@ batched-kernel oracle: bit-identical
     assert_eq!(out, expected);
 }
 
-/// `redundancy serve` flag validation at the process level: a bad shard
-/// count or an out-of-range port exits with code 2 and an error naming
-/// the flag, before any listener is bound or any session is built.
-#[test]
-fn serve_flag_validation_exits_2_naming_the_flag() {
-    for (flag, value) in [("--shards", "0"), ("--port", "70000")] {
-        let path = binary_path("redundancy");
-        assert!(path.exists(), "{} not built", path.display());
-        let out = Command::new(&path)
-            .args(["serve", flag, value])
-            .output()
-            .unwrap_or_else(|e| panic!("spawning redundancy: {e}"));
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "serve {flag} {value} should exit 2, got {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(flag),
-            "stderr must name the flag {flag}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "must not print a report");
-    }
-}
-
-/// Journal flag validation at the process level, matching the exit-code
-/// convention above: a missing or unreadable journal path — and
-/// `--recover` without a journal at all — exits 2 with an error naming
-/// the flag, before any session is built; nothing is printed to stdout.
-#[test]
-fn journal_flag_validation_exits_2_naming_the_flag() {
-    let path = binary_path("redundancy");
-    assert!(path.exists(), "{} not built", path.display());
-    let missing = "/nonexistent/journal.bin";
-    let cases: [(&[&str], &str); 4] = [
-        (&["journal-inspect", "--journal", missing], "--journal"),
-        (&["journal-inspect"], "--journal"),
-        (
-            &["serve", "--tasks", "100", "--journal", missing, "--recover"],
-            "--journal",
-        ),
-        (&["serve", "--tasks", "100", "--recover"], "--recover"),
-    ];
-    for (args, flag) in cases {
-        let out = Command::new(&path)
-            .args(args)
-            .output()
-            .unwrap_or_else(|e| panic!("spawning redundancy: {e}"));
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{args:?} should exit 2, got {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(flag),
-            "stderr must name the flag {flag}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "must not print a report");
-    }
-}
-
 #[test]
 fn churn_rejects_invalid_parameters_with_messages() {
     let err = cli(&["churn", "--leave-rate", "1.5"]).unwrap_err();
     assert!(err.contains("probability in [0, 1]"), "{err}");
     let err2 = cli(&["churn", "--census-interval", "0"]).unwrap_err();
     assert!(err2.contains("positive number of ticks"), "{err2}");
-}
-
-/// `redundancy churn` flag validation at the process level: a bad flag
-/// value exits with code 2 and an error naming the flag, matching the
-/// established exit-code conventions.
-#[test]
-fn churn_flag_validation_exits_2_naming_the_flag() {
-    for (flag, value) in [("--enter-rate", "-1"), ("--threads", "0")] {
-        let path = binary_path("redundancy");
-        assert!(path.exists(), "{} not built", path.display());
-        let out = Command::new(&path)
-            .args(["churn", flag, value])
-            .output()
-            .unwrap_or_else(|e| panic!("spawning redundancy: {e}"));
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "churn {flag} {value} should exit 2, got {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(flag),
-            "stderr must name the flag {flag}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "must not print a report");
-    }
 }
 
 #[test]

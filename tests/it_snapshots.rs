@@ -2,7 +2,8 @@
 //!
 //! See `tests/src/snapshot.rs` for the harness and `docs/TESTING.md` for
 //! the update workflow.  One test per exhibit so failures name the drifted
-//! binary directly and the suite parallelizes across exhibits.
+//! exhibit directly and the suite parallelizes across exhibits; each test
+//! runs its exhibit at `--threads` 1 and 4.
 
 use redundancy_integration::snapshot::check_exhibit;
 

@@ -1,10 +1,11 @@
-//! Golden-snapshot harness for the repro binaries.
+//! Golden-snapshot harness for the repro exhibits.
 //!
-//! Every exhibit binary in `crates/repro` is deterministic for its default
-//! seed — including across thread counts, thanks to the chunk-seeded trial
-//! runner — so its entire stdout can be pinned byte-for-byte.  The suite
-//! in `it_snapshots.rs` runs each binary and compares against the files
-//! committed under `tests/snapshots/`.
+//! Every exhibit in the `crates/repro` registry is deterministic for its
+//! default seed — including across thread counts, thanks to the
+//! chunk-seeded trial runner — so the entire stdout of `redundancy repro
+//! <name>` can be pinned byte-for-byte.  The suite in `it_snapshots.rs`
+//! runs each exhibit in process at `--threads` 1 and 4 and compares
+//! against the files committed under `tests/snapshots/`.
 //!
 //! Workflow:
 //!
@@ -14,13 +15,12 @@
 //!   it_snapshots` rewrites the files and reports what changed;
 //! * regeneration is refused when `CI` is set (GitHub sets `CI=true`), so
 //!   a pipeline can never silently bless drifted output;
-//! * `SNAPSHOT_THREADS=<n>` forwards `--threads <n>` to every binary —
-//!   the snapshots must not depend on it.
+//! * a thread count whose output differs from `--threads 1` always fails,
+//!   even under `UPDATE_SNAPSHOTS`: the snapshots must not depend on it.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-/// Every repro exhibit, one binary per table/figure of the paper plus the
+/// Every repro exhibit, one per table/figure of the paper plus the
 /// workspace's own extensions.
 pub const EXHIBITS: [&str; 13] = [
     "fig1_detection_vs_p",
@@ -90,21 +90,6 @@ pub fn diff_summary(expected: &str, actual: &str) -> String {
     out
 }
 
-/// `target/<profile>/` for the build that produced this test executable
-/// (`target/<profile>/deps/<test>-<hash>` is two levels below it).
-fn target_profile_dir() -> PathBuf {
-    let exe = std::env::current_exe().expect("test executable has a path");
-    exe.parent()
-        .and_then(Path::parent)
-        .expect("test executable lives in target/<profile>/deps")
-        .to_path_buf()
-}
-
-/// Path of a repro binary in the current build profile.
-pub fn binary_path(name: &str) -> PathBuf {
-    target_profile_dir().join(format!("{name}{}", std::env::consts::EXE_SUFFIX))
-}
-
 /// The committed snapshot file for an exhibit.
 pub fn snapshot_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -112,46 +97,38 @@ pub fn snapshot_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Run one exhibit binary and return its stdout.
-///
-/// Honors `SNAPSHOT_THREADS` (default 1) by forwarding `--threads`; the
-/// repro CLI ignores unknown flags, so this is safe even for the exhibits
-/// that are not multi-threaded.
-pub fn run_exhibit(name: &str) -> String {
-    let bin = binary_path(name);
-    assert!(
-        bin.exists(),
-        "repro binary {} not built; run `cargo build -p redundancy-repro --bins` \
-(a workspace-root `cargo test` builds it automatically)",
-        bin.display()
-    );
-    let threads = std::env::var("SNAPSHOT_THREADS").unwrap_or_else(|_| "1".into());
-    let out = Command::new(&bin)
-        .args(["--threads", &threads])
-        .output()
-        .unwrap_or_else(|e| panic!("spawning {name}: {e}"));
-    assert!(
-        out.status.success(),
-        "{name} exited with {}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).unwrap_or_else(|e| panic!("{name} emitted non-UTF-8: {e}"))
+/// `redundancy repro <name> --threads <threads>` stdout, through the
+/// in-process entry point `main` calls.  An error — including an exhibit
+/// whose self-checks failed — panics with the message.
+pub fn run_exhibit(name: &str, threads: &str) -> String {
+    let argv: Vec<String> = ["repro", name, "--threads", threads]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    redundancy_cli::run(&argv)
+        .unwrap_or_else(|e| panic!("`redundancy repro {name} --threads {threads}` failed: {e}"))
 }
 
-/// Compare one exhibit against its committed snapshot, or regenerate it
-/// when the environment allows (see [`should_update`]).
+/// Run one exhibit at `--threads` 1 and 4, require the two outputs to be
+/// byte-identical, and compare them against the committed snapshot, or
+/// regenerate it when the environment allows (see [`should_update`]).
 pub fn check_exhibit(name: &str) {
-    check_actual(name, &run_exhibit(name));
+    let single = run_exhibit(name, "1");
+    let multi = run_exhibit(name, "4");
+    assert!(
+        single == multi,
+        "{name} at --threads 4 differs from --threads 1:\n{}",
+        diff_summary(&single, &multi)
+    );
+    check_actual(name, &single);
 }
 
 /// Compare already-captured output against the committed snapshot for
 /// `name`, regenerating when the environment allows.
 ///
-/// Split from [`check_exhibit`] so the same gate serves output that does
-/// not come from spawning a standalone binary — the unified
-/// `redundancy repro` entry point and the `repro --list` index run
-/// in-process and are pinned through this path.
+/// Split from [`check_exhibit`] so the same gate serves output that is
+/// not an exhibit run — the `repro --list` index is pinned through this
+/// path.
 pub fn check_actual(name: &str, actual: &str) {
     let path = snapshot_path(name);
     let update = should_update(
