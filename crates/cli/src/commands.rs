@@ -388,14 +388,20 @@ fn verdict(name: &str, report: &redundancy_repro::Report, out: String) -> Result
 }
 
 /// Reject CLI-supplied trial-runner parameters that `run_trials` would only
-/// catch with a debug assertion, naming the flag so `main` can exit with
-/// code 2.
+/// catch with a debug assertion, and a campaign count of zero, which would
+/// report an estimate from no trials; the error names the flag so `main`
+/// can exit with code 2.
 fn check_trial_config(
     campaigns: u64,
     seed: u64,
     chunk_size: u64,
     threads: usize,
 ) -> Result<(), CliError> {
+    if campaigns == 0 {
+        return Err(CliError::Invalid(
+            "--campaigns: must be positive (an estimate needs at least one campaign)".into(),
+        ));
+    }
     TrialConfig {
         trials: campaigns,
         chunk_size,

@@ -80,6 +80,28 @@ fn zero_chunk_size_exits_two_naming_the_flag() {
     assert!(stderr.contains("--chunk-size"), "{stderr}");
 }
 
+/// `--campaigns 0` would print an estimate from no trials (and `faults`
+/// a verdict on it); every Monte-Carlo command rejects it, naming the flag.
+#[test]
+fn zero_campaigns_exits_two_naming_the_flag() {
+    for command in ["simulate", "faults", "churn"] {
+        let out = redundancy(&[
+            command,
+            "--tasks",
+            "200",
+            "--epsilon",
+            "0.5",
+            "--campaigns",
+            "0",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{command}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("error:"), "{command}: {stderr}");
+        assert!(stderr.contains("--campaigns"), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} must not print a report");
+    }
+}
+
 #[test]
 fn unknown_command_exits_two() {
     let out = redundancy(&["frobnicate"]);

@@ -18,9 +18,10 @@
 //! `honest_error_rate == 0` the supervisor's verdict is a closed form of
 //! `(held, multiplicity, precomputed, policy)` and the engine skips result
 //! materialization and comparison entirely: it only bins each group's
-//! draws ([`PreparedSampler::sample_binned`], threshold counts in
-//! registers for short tables).  Monte-Carlo drivers group the specs once
-//! per experiment and call `run_campaign_on_groups`.
+//! draws ([`PreparedSampler::sample_binned`]: integer threshold counts in
+//! registers for short tables, drawn in 8 jumped-ahead AVX2 lanes for
+//! large groups).  Monte-Carlo drivers build the groups once per
+//! experiment and call `run_campaign_on_groups`.
 //!
 //! All of this is *observationally identical* to the seed per-task loop —
 //! same RNG consumption, same outcome, bit for bit.  The frozen originals
@@ -38,7 +39,7 @@ use crate::task::{
     TaskId, TaskSpec,
 };
 use redundancy_stats::{
-    BinomialCache, DeterministicRng, HypergeometricCache, PreparedSampler, SamplerMode,
+    BinomialCache, DeterministicRng, HypergeometricCache, JumpCache, PreparedSampler, SamplerMode,
 };
 
 /// Everything a campaign needs besides its task list and RNG.
@@ -80,17 +81,19 @@ impl CampaignConfig {
 
 /// Reusable per-worker scratch state for the campaign kernel.
 ///
-/// Holds the results buffer and the cached sampler tables; threading one
-/// instance through repeated campaigns (the Monte-Carlo driver does this
-/// via [`CampaignAccumulator`]) drops steady-state per-trial allocation to
-/// zero and reuses each distinct `(n, p)` CDF table across all campaigns a
-/// worker runs.
+/// Holds the results buffer, the cached sampler tables and the jump
+/// polynomials of the lane kernel; threading one instance through repeated
+/// campaigns (the Monte-Carlo driver does this via [`CampaignAccumulator`])
+/// drops steady-state per-trial allocation to zero and reuses each distinct
+/// `(n, p)` CDF table and each segment length's jump polynomial across all
+/// campaigns a worker runs.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignScratch {
     results: Vec<ResultValue>,
     held_counts: Vec<u64>,
     binomial: BinomialCache,
     hypergeometric: HypergeometricCache,
+    jumps: JumpCache,
     tally: TallyLanes,
     mode: SamplerMode,
 }
@@ -380,6 +383,7 @@ pub(crate) fn run_campaign_on_groups(
         held_counts,
         binomial,
         hypergeometric,
+        jumps,
         tally,
         mode,
     } = scratch;
@@ -407,7 +411,7 @@ pub(crate) fn run_campaign_on_groups(
                 // one uniform per task.  Same law, group-sized cost.
                 table.multinomial_into(group.count, rng, held_counts);
             } else {
-                sampler.sample_binned(group.count, rng, held_counts);
+                sampler.sample_binned(group.count, rng, held_counts, jumps);
             }
             tally.set_masks(mult, group.precomputed, &config.strategy, majority);
             tally.accumulate(held_counts);

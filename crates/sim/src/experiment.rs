@@ -7,8 +7,8 @@ use crate::engine::{
 };
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
-use crate::task::{expand_plan, grouped_specs, SpecGroup, TaskId};
-use redundancy_core::RealizedPlan;
+use crate::task::{SpecGroup, TaskId};
+use redundancy_core::{PartitionKind, RealizedPlan};
 use redundancy_stats::parallel::{run_trials, TrialConfig};
 use redundancy_stats::{Proportion, SamplerMode};
 
@@ -105,10 +105,28 @@ impl DetectionEstimate {
     }
 }
 
-/// Expand `plan` and group its specs, once per experiment: every campaign
-/// of the experiment runs over the same groups.
+/// One [`SpecGroup`] per non-empty partition of `plan`, ids running on in
+/// partition order exactly as [`expand_plan`] numbers them, built once per
+/// experiment: every campaign of the experiment runs over the same groups,
+/// and no per-task spec is ever materialized.
+///
+/// [`expand_plan`]: crate::task::expand_plan
 fn plan_groups(plan: &RealizedPlan) -> Vec<SpecGroup> {
-    grouped_specs(&expand_plan(plan)).collect()
+    let mut first_id = 0;
+    plan.partitions()
+        .iter()
+        .filter(|p| p.tasks > 0)
+        .map(|p| {
+            let group = SpecGroup {
+                first_id: TaskId(first_id),
+                count: p.tasks,
+                multiplicity: p.multiplicity as u32,
+                precomputed: matches!(p.kind, PartitionKind::Ringer | PartitionKind::Verified),
+            };
+            first_id += p.tasks;
+            group
+        })
+        .collect()
 }
 
 /// Run `config.campaigns` campaigns of `plan` under the given adversary and
@@ -281,6 +299,40 @@ pub fn sampled_detection_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::{expand_plan, TaskSpec};
+
+    #[test]
+    fn plan_groups_flatten_to_the_expanded_plan() {
+        for plan in [
+            RealizedPlan::balanced(100_000, 0.5).unwrap(),
+            RealizedPlan::balanced(10_000, 0.75).unwrap(),
+            RealizedPlan::golle_stubblebine(5_000, 0.5).unwrap(),
+            RealizedPlan::k_fold(100, 3, 0.5).unwrap(),
+            RealizedPlan::k_fold(1, 1, 0.5).unwrap(),
+        ] {
+            let groups = plan_groups(&plan);
+            let flat: Vec<TaskSpec> = groups
+                .iter()
+                .flat_map(|g| {
+                    (0..g.count).map(move |i| TaskSpec {
+                        id: TaskId(g.first_id.0 + i),
+                        multiplicity: g.multiplicity,
+                        precomputed: g.precomputed,
+                    })
+                })
+                .collect();
+            assert_eq!(flat, expand_plan(&plan), "{}", plan.scheme());
+            assert!(groups.iter().all(|g| g.count > 0));
+            let ringers: u64 = groups
+                .iter()
+                .filter(|g| g.precomputed)
+                .map(|g| g.count)
+                .sum();
+            assert_eq!(ringers, plan.precomputed_tasks());
+        }
+        // The ringer plans above really carry ringers.
+        assert!(RealizedPlan::balanced(100_000, 0.5).unwrap().ringer_tasks() > 0);
+    }
 
     #[test]
     fn balanced_empirical_matches_proposition3() {

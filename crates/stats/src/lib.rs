@@ -41,7 +41,7 @@ pub use parallel::{
     parallel_sweep, run_trials, sweep_thread_split, InvalidTrialConfig, TrialConfig, MAX_THREADS,
 };
 pub use quantile::P2Quantile;
-pub use rng::{DeterministicRng, SeedSequence};
+pub use rng::{DeterministicRng, JumpCache, JumpPoly, SeedSequence};
 pub use samplers::alias::DiscreteAlias;
 pub use samplers::cache::{BinomialCache, HypergeometricCache, PreparedSampler};
 pub use samplers::{

@@ -10,7 +10,10 @@
 //! * [`DeterministicRng`] — xoshiro256++ (Blackman & Vigna), a small, fast,
 //!   well-tested generator with 2²⁵⁶−1 period.  All distribution helpers the
 //!   workspace needs (`uniform`, `bernoulli`, `below`, `shuffle`, …) are
-//!   inherent methods, so no external RNG ecosystem is required.
+//!   inherent methods, so no external RNG ecosystem is required;
+//! * [`JumpPoly`] / [`JumpCache`] — jump-ahead by any step count `m`
+//!   (`x^m mod P`, Haramoto et al. 2008), which cuts one stream into exact
+//!   contiguous segments that can be drawn side by side.
 
 /// SplitMix64 step: the standard 64-bit finalizer-based generator used to
 /// expand seeds (Steele, Lea & Flood 2014).
@@ -105,7 +108,69 @@ impl DeterministicRng {
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Self::uniform_of(self.next_raw())
+    }
+
+    /// The uniform [`uniform`](Self::uniform) returns for raw output
+    /// `raw`: its top 53 bits scaled by `2⁻⁵³`, exactly.
+    #[inline]
+    pub fn uniform_of(raw: u64) -> f64 {
+        (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// The raw-output threshold of a probability `c ≥ 0`:
+    /// `c < uniform_of(raw)` holds iff `raw > raw_threshold(c)`.
+    ///
+    /// `c·2⁵³` is exact (a power-of-two scale), and `uniform_of(raw)·2⁵³`
+    /// is the integer `raw >> 11`, so `c < u` iff `raw >> 11 ≥ ⌊c·2⁵³⌋ + 1`
+    /// iff `raw > ((⌊c·2⁵³⌋ + 1) << 11) − 1`.  When `⌊c·2⁵³⌋ ≥ 2⁵³ − 1`
+    /// no uniform exceeds `c` and the threshold saturates at `u64::MAX`.
+    /// Callers comparing many draws against a fixed `c` compare raw
+    /// integers instead of converting each draw to `f64`.
+    pub fn raw_threshold(c: f64) -> u64 {
+        debug_assert!(c >= 0.0, "raw_threshold needs c >= 0, got {c}");
+        const TOP: u64 = (1 << 53) - 1;
+        let scaled = (c * (1u64 << 53) as f64).floor();
+        if scaled >= TOP as f64 {
+            u64::MAX
+        } else {
+            ((scaled as u64 + 1) << 11) - 1
+        }
+    }
+
+    /// The four state words, for kernels that step the generator in
+    /// vector lanes.
+    pub(crate) fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
+    /// A generator resumed from [`state`](Self::state) words.
+    pub(crate) fn from_state(s: [u64; 4]) -> Self {
+        DeterministicRng { s }
+    }
+
+    /// Advance the stream by the step count `poly` was built for, as if
+    /// [`next_raw`](Self::next_raw) had been called that many times.
+    ///
+    /// The state after `m` steps is `Tᵐ s`, and `Tᵐ = J(T)` for
+    /// `J = xᵐ mod P` (Cayley–Hamilton), so the jump XOR-accumulates the
+    /// states `Tⁱ s` for every coefficient `jᵢ = 1` over 256 steps — the
+    /// loop of xoshiro's published `jump()`, for any `m`.
+    pub fn jump(&mut self, poly: &JumpPoly) {
+        let mut acc = [0u64; 4];
+        for (w, &word) in poly.coeffs.iter().enumerate() {
+            for b in 0..64 {
+                if word >> b & 1 == 1 {
+                    for (a, s) in acc.iter_mut().zip(&self.s) {
+                        *a ^= s;
+                    }
+                }
+                if w < 3 || b < 63 {
+                    self.next_raw();
+                }
+            }
+        }
+        self.s = acc;
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
@@ -177,9 +242,269 @@ impl DeterministicRng {
     }
 }
 
+/// Characteristic polynomial `P` of xoshiro256's linear engine (the state
+/// transition `T`, without the `++` scrambler): degree 256 over GF(2),
+/// coefficients of `x⁰ … x²⁵⁵` little-endian by word and bit, the leading
+/// `x²⁵⁶` implicit.  `rng::tests::characteristic_polynomial_rederived`
+/// re-derives it by Berlekamp–Massey.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// The jump polynomial `xᵐ mod P` for advancing a stream by `m` steps
+/// with [`DeterministicRng::jump`].
+///
+/// ```
+/// use redundancy_stats::{DeterministicRng, JumpPoly};
+/// let mut stepped = DeterministicRng::new(3);
+/// let mut jumped = stepped.clone();
+/// for _ in 0..1000 {
+///     stepped.next_raw();
+/// }
+/// jumped.jump(&JumpPoly::new(1000));
+/// assert_eq!(stepped, jumped);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JumpPoly {
+    coeffs: [u64; 4],
+}
+
+impl JumpPoly {
+    /// `x^steps mod P`, by square-and-multiply over the bits of `steps`.
+    pub fn new(steps: u64) -> Self {
+        let mut coeffs = [1, 0, 0, 0];
+        for bit in (0..u64::BITS - steps.leading_zeros()).rev() {
+            coeffs = poly_square_mod(coeffs);
+            if steps >> bit & 1 == 1 {
+                coeffs = poly_times_x_mod(coeffs);
+            }
+        }
+        JumpPoly { coeffs }
+    }
+}
+
+/// `a·x mod P`.
+fn poly_times_x_mod(a: [u64; 4]) -> [u64; 4] {
+    let overflow = a[3] >> 63 == 1;
+    let mut r = [
+        a[0] << 1,
+        a[1] << 1 | a[0] >> 63,
+        a[2] << 1 | a[1] >> 63,
+        a[3] << 1 | a[2] >> 63,
+    ];
+    if overflow {
+        for (r, p) in r.iter_mut().zip(&CHAR_POLY) {
+            *r ^= p;
+        }
+    }
+    r
+}
+
+/// `a² mod P`.  Squaring over GF(2) spreads the bits (`(Σ aᵢxⁱ)² =
+/// Σ aᵢx²ⁱ`); the 512-bit square is then reduced from the top, replacing
+/// each `xⁱ` with `i ≥ 256` by `xⁱ⁻²⁵⁶·(P − x²⁵⁶)`.
+fn poly_square_mod(a: [u64; 4]) -> [u64; 4] {
+    fn spread(half: u64) -> u64 {
+        let mut x = half & 0xffff_ffff;
+        x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+        x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+        x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+        x = (x | x << 2) & 0x3333_3333_3333_3333;
+        (x | x << 1) & 0x5555_5555_5555_5555
+    }
+    let mut wide = [0u64; 8];
+    for (i, &word) in a.iter().enumerate() {
+        wide[2 * i] = spread(word);
+        wide[2 * i + 1] = spread(word >> 32);
+    }
+    for i in (256..512).rev() {
+        if wide[i / 64] >> (i % 64) & 1 == 1 {
+            wide[i / 64] ^= 1 << (i % 64);
+            // XOR `CHAR_POLY · x^(i − 256)` into bits `i − 256 .. i`.
+            let (word, shift) = ((i - 256) / 64, (i - 256) % 64);
+            for (k, &p) in CHAR_POLY.iter().enumerate() {
+                wide[word + k] ^= p << shift;
+                if shift > 0 {
+                    wide[word + k + 1] ^= p >> (64 - shift);
+                }
+            }
+        }
+    }
+    [wide[0], wide[1], wide[2], wide[3]]
+}
+
+/// Per-worker cache of [`JumpPoly`]s keyed by step count.
+///
+/// A polynomial costs tens of microseconds to build and a jump well under
+/// one, so kernels that jump by the same segment length campaign after
+/// campaign keep them here.  The map is a short list: a worker sees a
+/// handful of distinct lengths (one per large spec group).
+#[derive(Debug, Clone, Default)]
+pub struct JumpCache {
+    polys: Vec<(u64, JumpPoly)>,
+}
+
+impl JumpCache {
+    /// Distinct step counts kept before the cache starts over.
+    const CAPACITY: usize = 32;
+
+    /// The polynomial for `steps`, built on first use.
+    pub fn get(&mut self, steps: u64) -> &JumpPoly {
+        let at = match self.polys.iter().position(|&(m, _)| m == steps) {
+            Some(at) => at,
+            None => {
+                if self.polys.len() == Self::CAPACITY {
+                    self.polys.clear();
+                }
+                self.polys.push((steps, JumpPoly::new(steps)));
+                self.polys.len() - 1
+            }
+        };
+        &self.polys[at].1
+    }
+
+    /// Number of step counts cached.
+    pub fn len(&self) -> usize {
+        self.polys.len()
+    }
+
+    /// True if no polynomial has been built yet.
+    pub fn is_empty(&self) -> bool {
+        self.polys.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn jump_by_m_equals_m_steps() {
+        for m in [0u64, 1, 255, 256, 257, 12345, 100_003] {
+            let mut stepped = DeterministicRng::new(m ^ 0x5eed);
+            let mut jumped = stepped.clone();
+            for _ in 0..m {
+                stepped.next_raw();
+            }
+            jumped.jump(&JumpPoly::new(m));
+            assert_eq!(stepped, jumped, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn jump_matches_the_published_2_pow_128_jump() {
+        // xoshiro256's reference `jump()` constant is `x^(2^128) mod P`.
+        let mut coeffs = [2, 0, 0, 0];
+        for _ in 0..128 {
+            coeffs = poly_square_mod(coeffs);
+        }
+        assert_eq!(
+            coeffs,
+            [
+                0x180e_c6d3_3cfd_0aba,
+                0xd5a6_1266_f0c9_392c,
+                0xa958_2618_e03f_c9aa,
+                0x39ab_dc45_29b1_661c,
+            ]
+        );
+    }
+
+    /// Berlekamp–Massey over GF(2) on one state bit's sequence recovers the
+    /// minimal polynomial of `T`, which is its degree-256 characteristic
+    /// polynomial (primitive, hence irreducible).
+    #[test]
+    fn characteristic_polynomial_rederived() {
+        let n = 512;
+        let mut rng = DeterministicRng { s: [1, 2, 3, 4] };
+        let bits: Vec<u8> = (0..n)
+            .map(|_| {
+                let bit = (rng.s[0] & 1) as u8;
+                rng.next_raw();
+                bit
+            })
+            .collect();
+        // Connection polynomial `c` (c[0] = 1) of length `len`.
+        let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+        c[0] = 1;
+        b[0] = 1;
+        let (mut len, mut gap) = (0usize, 1usize);
+        for i in 0..n {
+            let d = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+            if d == 0 {
+                gap += 1;
+                continue;
+            }
+            let prev = c.clone();
+            for j in 0..=n - gap {
+                c[j + gap] ^= b[j];
+            }
+            if 2 * len <= i {
+                len = i + 1 - len;
+                b = prev;
+                gap = 1;
+            } else {
+                gap += 1;
+            }
+        }
+        assert_eq!(len, 256);
+        // P(x) = x²⁵⁶·c(1/x): the coefficient of xᵏ is c[256 − k].
+        let mut derived = [0u64; 4];
+        for k in 0..256 {
+            derived[k / 64] |= u64::from(c[256 - k]) << (k % 64);
+        }
+        assert_eq!(derived, CHAR_POLY);
+    }
+
+    #[test]
+    fn jump_cache_builds_each_length_once() {
+        let mut cache = JumpCache::default();
+        assert!(cache.is_empty());
+        let a = *cache.get(4096);
+        assert_eq!(a, *cache.get(4096));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(*cache.get(7), JumpPoly::new(7));
+        assert_eq!(cache.len(), 2);
+        for m in 0..100 {
+            assert_eq!(*cache.get(m), JumpPoly::new(m));
+        }
+        assert!(cache.len() <= JumpCache::CAPACITY);
+    }
+
+    #[test]
+    fn raw_threshold_edges() {
+        let check = |c: f64| {
+            let r = DeterministicRng::raw_threshold(c);
+            if r < u64::MAX {
+                assert!(c < DeterministicRng::uniform_of(r + 1), "c = {c:e}");
+            }
+            assert!(c >= DeterministicRng::uniform_of(r), "c = {c:e}");
+            r
+        };
+        assert_eq!(check(0.0), (1 << 11) - 1);
+        assert_eq!(check(f64::from_bits(1)), (1 << 11) - 1);
+        assert_eq!(check(f64::MIN_POSITIVE / 2.0), (1 << 11) - 1);
+        // At `k/2⁵³` and the floats either side of it (below 2⁻¹ the next
+        // float up still floors to `k`; from there on it is `(k + 1)/2⁵³`).
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) + 1, (1 << 53) - 2] {
+            let at = k as f64 * ulp;
+            assert_eq!(check(at), ((k + 1) << 11) - 1, "k = {k}");
+            assert_eq!(check(f64::from_bits(at.to_bits() - 1)), (k << 11) - 1);
+            let want = match k {
+                k if k < 1 << 52 => ((k + 1) << 11) - 1,
+                k if k + 2 < 1 << 53 => ((k + 2) << 11) - 1,
+                _ => u64::MAX,
+            };
+            assert_eq!(check(f64::from_bits(at.to_bits() + 1)), want, "k = {k}");
+        }
+        assert_eq!(check(1.0 - ulp), u64::MAX);
+        assert_eq!(check(1.0), u64::MAX);
+        assert_eq!(check(1.5), u64::MAX);
+        assert_eq!(check(f64::INFINITY), u64::MAX);
+    }
 
     #[test]
     fn reference_vector_xoshiro256pp() {

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use super::alias::DiscreteAlias;
 use super::{binomial_pmf_zero, sample_binomial, sample_hypergeometric, SamplerMode};
-use crate::rng::DeterministicRng;
+use crate::rng::{DeterministicRng, JumpCache};
 use crate::special::ln_binomial;
 
 /// Largest inversion table a cache will materialise.  Campaign multiplicities
@@ -48,6 +48,11 @@ const LINEAR_SCAN_MAX: usize = 128;
 /// fixed-width register array of at most this many lanes.
 const THRESHOLD_LANES_MAX: usize = 16;
 
+/// Groups of at least this many draws are binned by the AVX2 lane kernel
+/// (where the CPU has AVX2); smaller ones, whose 7 jumps would not pay
+/// for themselves, draw serially.  Measured best of 2048, 4096 and 8192.
+const LANE_KERNEL_MIN: u64 = 4096;
+
 /// One prepared sampling strategy for a distinct parameter set.
 #[derive(Debug, Clone)]
 enum Plan {
@@ -59,14 +64,16 @@ enum Plan {
     /// Entry `i` is the CDF at `base + i`; `mirror == Some(n)` means the
     /// table was built at `1 − p` and the draw is reflected to `n − k`,
     /// matching [`sample_binomial`]'s `p > ½` recursion.
-    /// `binnable` is set at build time when the table is short enough for
-    /// threshold-count binning and its entries are non-NaN and
-    /// non-decreasing, the condition that makes the binning exact.
+    /// `raw_thresholds` is built with the table when it is short enough
+    /// for threshold-count binning and its entries are non-negative and
+    /// non-decreasing, the condition that makes the binning exact: entry
+    /// `i` is [`DeterministicRng::raw_threshold`] of `cdf[i]` for every
+    /// threshold `i < len − 1`.
     Table {
         base: u64,
         cdf: Box<[f64]>,
         mirror: Option<u64>,
-        binnable: bool,
+        raw_thresholds: Option<Box<[u64]>>,
     },
     /// Parameter sets the walk handles via fallback (pmf(0) underflow) or
     /// that exceed [`MAX_TABLE_LEN`]: call the free function so the RNG
@@ -87,13 +94,19 @@ impl Plan {
     /// A CDF-table plan, checked once for threshold-count binning.
     fn table(base: u64, cdf: Vec<f64>, mirror: Option<u64>) -> Plan {
         let binnable = cdf.len() <= THRESHOLD_LANES_MAX
-            && cdf.iter().all(|c| !c.is_nan())
+            && cdf.iter().all(|&c| c >= 0.0)
             && cdf.windows(2).all(|w| w[0] <= w[1]);
+        let raw_thresholds = binnable.then(|| {
+            cdf[..cdf.len() - 1]
+                .iter()
+                .map(|&c| DeterministicRng::raw_threshold(c))
+                .collect()
+        });
         Plan::Table {
             base,
             cdf: cdf.into_boxed_slice(),
             mirror,
-            binnable,
+            raw_thresholds,
         }
     }
 
@@ -163,20 +176,35 @@ impl<'a> PreparedSampler<'a> {
     /// Equivalent to `count` calls of [`sample`](Self::sample) — the same
     /// draws, the same RNG consumption and the same tallies — but a short
     /// CDF table is hoisted out of the loop and binned by threshold
-    /// counts: each draw adds `(cdf[i] < u)` into a register lane per
-    /// threshold `i < len − 1`, and the bins are recovered at the end by
-    /// differencing the lanes.  Because the table's partial sums are
-    /// non-decreasing, the number of thresholds below `u` is exactly the
-    /// linear scan's first index with `cdf[i] ≥ u`, its clamp at `len − 1`
-    /// included.  Every other plan draws one value at a time.
+    /// counts: each raw draw adds `(raw > R_i)` into a register lane per
+    /// threshold `i < len − 1`, where `R_i` is the raw-integer form of
+    /// `cdf[i] < u` ([`DeterministicRng::raw_threshold`]), and the bins
+    /// are recovered at the end by differencing the lanes.  Because the
+    /// table's partial sums are non-decreasing, the number of thresholds
+    /// below `u` is exactly the linear scan's first index with
+    /// `cdf[i] ≥ u`, its clamp at `len − 1` included.
+    ///
+    /// A group of at least [`LANE_KERNEL_MIN`] draws on an AVX2 host is
+    /// cut into 8 contiguous segments of `count / 8` draws, each lane
+    /// started by one jump from the previous one (`jumps` caches the jump
+    /// polynomial per segment length), and the segments are drawn side by
+    /// side in vector registers; the remainder is drawn serially from the
+    /// last lane's end, which leaves `rng` where `count` serial draws
+    /// would.  Every other plan draws one value at a time.
     ///
     /// Panics if a draw falls outside `counts`.
-    pub fn sample_binned(&self, count: u64, rng: &mut DeterministicRng, counts: &mut [u64]) {
+    pub fn sample_binned(
+        &self,
+        count: u64,
+        rng: &mut DeterministicRng,
+        counts: &mut [u64],
+        jumps: &mut JumpCache,
+    ) {
         let Plan::Table {
             base,
-            cdf,
             mirror,
-            binnable: true,
+            raw_thresholds: Some(thresholds),
+            ..
         } = self.plan
         else {
             for _ in 0..count {
@@ -186,16 +214,9 @@ impl<'a> PreparedSampler<'a> {
         };
         // `above[i]` = draws whose index exceeds `i`; lanes past the last
         // threshold stay 0, which supplies `above[len − 1] = 0`.
-        let thresholds = &cdf[..cdf.len() - 1];
-        let mut above = [0u64; THRESHOLD_LANES_MAX];
-        match thresholds.len() {
-            0..=2 => count_above::<2>(thresholds, count, rng, &mut above),
-            3..=4 => count_above::<4>(thresholds, count, rng, &mut above),
-            5..=8 => count_above::<8>(thresholds, count, rng, &mut above),
-            _ => count_above::<16>(thresholds, count, rng, &mut above),
-        }
+        let above = count_above(thresholds, count, rng, jumps);
         let mut prev = count;
-        for (idx, &next) in above[..cdf.len()].iter().enumerate() {
+        for (idx, &next) in above[..=thresholds.len()].iter().enumerate() {
             let k = base + idx as u64;
             let value = match mirror {
                 Some(n) => n - k,
@@ -223,29 +244,183 @@ impl<'a> PreparedSampler<'a> {
     }
 }
 
-/// Threshold-count kernel of [`PreparedSampler::sample_binned`]: for
-/// each of `count` uniforms, add `(thresholds[i] < u)` into lane `i`.
-///
-/// `N` lanes hold the thresholds padded with `+∞` (never below a uniform
-/// in `[0, 1)`), so the inner loop has a fixed trip count, no branch and
-/// no store-to-load chain, and the lanes live in registers.
-#[inline]
-fn count_above<const N: usize>(
-    thresholds: &[f64],
+/// Threshold-count kernel of [`PreparedSampler::sample_binned`]: lane `i`
+/// counts the `count` raw draws above `thresholds[i]` (at most
+/// [`THRESHOLD_LANES_MAX`]); the lanes past the last threshold are 0.
+fn count_above(
+    thresholds: &[u64],
     count: u64,
     rng: &mut DeterministicRng,
+    jumps: &mut JumpCache,
+) -> [u64; THRESHOLD_LANES_MAX] {
+    let mut above = [0u64; THRESHOLD_LANES_MAX];
+    match thresholds.len() {
+        0..=1 => count_above_width::<1>(thresholds, count, rng, jumps, &mut above),
+        2 => count_above_width::<2>(thresholds, count, rng, jumps, &mut above),
+        3..=4 => count_above_width::<4>(thresholds, count, rng, jumps, &mut above),
+        5..=8 => count_above_width::<8>(thresholds, count, rng, jumps, &mut above),
+        _ => count_above_width::<16>(thresholds, count, rng, jumps, &mut above),
+    }
+    above
+}
+
+/// [`count_above`] in `N` lanes: the thresholds padded with `u64::MAX`
+/// (never below a raw draw), so the inner loop has a fixed trip count, no
+/// branch and no store-to-load chain, and the lanes live in registers.
+#[inline]
+fn count_above_width<const N: usize>(
+    thresholds: &[u64],
+    count: u64,
+    rng: &mut DeterministicRng,
+    jumps: &mut JumpCache,
     above: &mut [u64; THRESHOLD_LANES_MAX],
 ) {
-    let mut padded = [f64::INFINITY; N];
+    let mut padded = [u64::MAX; N];
     padded[..thresholds.len()].copy_from_slice(thresholds);
     let mut lanes = [0u64; N];
+    // Tables of 6–16 entries go to the AVX2 build even for serial draws:
+    // baseline x86-64 has no 64-bit vector compare, and its emulation
+    // makes 8 and 16 integer lanes slower than AVX2's `vpcmpgtq`.
+    #[cfg(target_arch = "x86_64")]
+    if (count >= LANE_KERNEL_MIN || N >= 8) && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked at run time just above.
+        unsafe { avx2::count_above(&padded, count, rng, jumps, &mut lanes) };
+        above[..N].copy_from_slice(&lanes);
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = jumps; // only the AVX2 kernel jumps
+    count_above_serial(&padded, count, rng, &mut lanes);
+    above[..N].copy_from_slice(&lanes);
+}
+
+/// The serial loop of [`count_above_width`]: one draw at a time.
+#[inline]
+fn count_above_serial<const N: usize>(
+    thresholds: &[u64; N],
+    count: u64,
+    rng: &mut DeterministicRng,
+    lanes: &mut [u64; N],
+) {
     for _ in 0..count {
-        let u = rng.uniform();
-        for (lane, &t) in lanes.iter_mut().zip(&padded) {
-            *lane += u64::from(t < u);
+        let raw = rng.next_raw();
+        for (lane, &t) in lanes.iter_mut().zip(thresholds) {
+            *lane += u64::from(raw > t);
         }
     }
-    above[..N].copy_from_slice(&lanes);
+}
+
+/// The AVX2 lane kernel of [`count_above_width`].
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{count_above_serial, LANE_KERNEL_MIN};
+    use crate::rng::{DeterministicRng, JumpCache};
+    use std::arch::x86_64::*;
+
+    /// Generator lanes drawn side by side: two `__m256i` per state word.
+    const LANES: usize = 8;
+
+    /// [`count_above_serial`]'s result for `count` draws from `rng`,
+    /// compiled for AVX2.  From [`LANE_KERNEL_MIN`] draws on, the stream
+    /// is cut into [`LANES`] jumped-ahead segments of `count / LANES` draws
+    /// drawn side by side, and the remainder is drawn serially after the
+    /// last segment.  Leaves `rng` after draw `count`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn count_above<const N: usize>(
+        thresholds: &[u64; N],
+        count: u64,
+        rng: &mut DeterministicRng,
+        jumps: &mut JumpCache,
+        lanes: &mut [u64; N],
+    ) {
+        if count < LANE_KERNEL_MIN {
+            count_above_serial(thresholds, count, rng, lanes);
+            return;
+        }
+        let segment = count / LANES as u64;
+        let jump = jumps.get(segment);
+        let mut starts = [[0u64; 4]; LANES];
+        let mut lane_rng = rng.clone();
+        for (i, start) in starts.iter_mut().enumerate() {
+            if i > 0 {
+                lane_rng.jump(jump);
+            }
+            *start = lane_rng.state();
+        }
+        let last = draw_segments(thresholds, segment, &starts, lanes);
+        *rng = DeterministicRng::from_state(last);
+        count_above_serial(thresholds, count % LANES as u64, rng, lanes);
+    }
+
+    /// Step the 8 lane generators `steps` times from `starts`, adding
+    /// `(raw > thresholds[i])` per lane draw into `lanes[i]`; returns the
+    /// last lane's end state.
+    ///
+    /// Unsigned `raw > t` is the signed `_mm256_cmpgt_epi64` of both sides
+    /// with their sign bits flipped; a true compare is all ones (−1), so
+    /// subtracting it counts.
+    #[target_feature(enable = "avx2")]
+    fn draw_segments<const N: usize>(
+        thresholds: &[u64; N],
+        steps: u64,
+        starts: &[[u64; 4]; LANES],
+        lanes: &mut [u64; N],
+    ) -> [u64; 4] {
+        let sign = _mm256_set1_epi64x(i64::MIN);
+        let biased = thresholds.map(|t| _mm256_set1_epi64x((t ^ 1 << 63) as i64));
+        let word = |half: usize, w: usize| {
+            let lane = |i: usize| starts[4 * half + i][w] as i64;
+            _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0))
+        };
+        let mut s: [[__m256i; 4]; 2] =
+            [0, 1].map(|half| [word(half, 0), word(half, 1), word(half, 2), word(half, 3)]);
+        let mut acc = [_mm256_setzero_si256(); N];
+        for _ in 0..steps {
+            let mut raws = [_mm256_setzero_si256(); 2];
+            for (raw, s) in raws.iter_mut().zip(s.iter_mut()) {
+                // xoshiro256++: rotl(s0 + s3, 23) + s0, then the linear step.
+                let sum = _mm256_add_epi64(s[0], s[3]);
+                let rot =
+                    _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
+                *raw = _mm256_xor_si256(_mm256_add_epi64(rot, s[0]), sign);
+                let t = _mm256_slli_epi64::<17>(s[1]);
+                s[2] = _mm256_xor_si256(s[2], s[0]);
+                s[3] = _mm256_xor_si256(s[3], s[1]);
+                s[1] = _mm256_xor_si256(s[1], s[2]);
+                s[0] = _mm256_xor_si256(s[0], s[3]);
+                s[2] = _mm256_xor_si256(s[2], t);
+                s[3] =
+                    _mm256_or_si256(_mm256_slli_epi64::<45>(s[3]), _mm256_srli_epi64::<19>(s[3]));
+            }
+            for (a, &t) in acc.iter_mut().zip(&biased) {
+                let lo = _mm256_cmpgt_epi64(raws[0], t);
+                let hi = _mm256_cmpgt_epi64(raws[1], t);
+                *a = _mm256_sub_epi64(_mm256_sub_epi64(*a, lo), hi);
+            }
+        }
+        for (lane, &a) in lanes.iter_mut().zip(&acc) {
+            *lane += sum_lanes(a);
+        }
+        let last = |w: usize| _mm256_extract_epi64::<3>(s[1][w]) as u64;
+        [last(0), last(1), last(2), last(3)]
+    }
+
+    /// The sum of the four `u64` lanes of `v`.
+    #[target_feature(enable = "avx2")]
+    fn sum_lanes(v: __m256i) -> u64 {
+        [
+            _mm256_extract_epi64::<0>(v),
+            _mm256_extract_epi64::<1>(v),
+            _mm256_extract_epi64::<2>(v),
+            _mm256_extract_epi64::<3>(v),
+        ]
+        .iter()
+        .fold(0u64, |sum, &x| sum.wrapping_add(x as u64))
+    }
 }
 
 /// Cached binomial sampler keyed by `(n, p)`.
@@ -719,7 +894,7 @@ mod tests {
             want[sampler.sample(&mut one_rng) as usize] += 1;
         }
         let mut got = vec![0u64; bins];
-        sampler.sample_binned(count, &mut binned_rng, &mut got);
+        sampler.sample_binned(count, &mut binned_rng, &mut got, &mut JumpCache::default());
         assert_eq!(want, got, "{:?}: bins diverged", sampler.plan);
         assert_eq!(one_rng, binned_rng, "{:?}: RNG diverged", sampler.plan);
     }
@@ -736,7 +911,13 @@ mod tests {
         for len in [1usize, 2, 3, 4, 5, 8, 9, 15, 16, 17] {
             for mirror in [None, Some(40)] {
                 let plan = clamped_table(len, 0.3, mirror);
-                let binnable = matches!(plan, Plan::Table { binnable: true, .. });
+                let binnable = matches!(
+                    plan,
+                    Plan::Table {
+                        raw_thresholds: Some(_),
+                        ..
+                    }
+                );
                 assert_eq!(binnable, len <= THRESHOLD_LANES_MAX, "len {len}");
                 let sampler = PreparedSampler { plan: &plan };
                 assert_binned_matches(sampler, 41, 5_000, len as u64);
@@ -752,7 +933,7 @@ mod tests {
             assert!(matches!(
                 plan,
                 Plan::Table {
-                    binnable: false,
+                    raw_thresholds: None,
                     ..
                 }
             ));
@@ -788,9 +969,96 @@ mod tests {
         let mut rng = DeterministicRng::new(1);
         let before = rng.clone();
         let mut counts = vec![7u64; 6];
-        cache.prepared(id).sample_binned(0, &mut rng, &mut counts);
+        let mut jumps = JumpCache::default();
+        cache
+            .prepared(id)
+            .sample_binned(0, &mut rng, &mut counts, &mut jumps);
         assert_eq!(counts, vec![7u64; 6]);
         assert_eq!(rng, before);
+        assert!(jumps.is_empty());
+    }
+
+    /// Thresholds of every lane width, with edge values: 0, a saturated
+    /// `u64::MAX` (a CDF entry at 1) and a duplicate.
+    fn threshold_sets() -> Vec<Vec<u64>> {
+        let mut gen = DeterministicRng::new(99);
+        let mut sets = vec![vec![], vec![0], vec![u64::MAX], vec![1 << 63, u64::MAX]];
+        for len in [1usize, 2, 3, 4, 5, 8, 11, 15] {
+            let mut set: Vec<u64> = (0..len).map(|_| gen.next_raw()).collect();
+            set.sort_unstable();
+            if len > 2 {
+                set[1] = set[0];
+            }
+            sets.push(set);
+        }
+        sets
+    }
+
+    /// The serial loop against one `next_raw` per draw, and the AVX2
+    /// kernel (where the CPU has it) against the serial loop, on the same
+    /// thresholds, counts and seeds: the same lanes and the same RNG end
+    /// state.  Counts straddle the cutoff and every residue mod 8.
+    #[test]
+    fn serial_and_avx2_kernels_agree_on_the_same_inputs() {
+        let counts = [0u64, 1, 7, 8, 9, 4095, 4096, 4097, 4103, 8191, 20_005];
+        let mut jumps = JumpCache::default();
+        for (seed, thresholds) in threshold_sets().iter().enumerate() {
+            let mut padded = [u64::MAX; 16];
+            padded[..thresholds.len()].copy_from_slice(thresholds);
+            for &count in &counts {
+                let start = DeterministicRng::new(seed as u64);
+                let mut want_rng = start.clone();
+                let mut want = [0u64; 16];
+                for _ in 0..count {
+                    let raw = want_rng.next_raw();
+                    for (w, &t) in want.iter_mut().zip(thresholds) {
+                        *w += u64::from(raw > t);
+                    }
+                }
+                let mut serial_rng = start.clone();
+                let mut serial = [0u64; 16];
+                count_above_serial(&padded, count, &mut serial_rng, &mut serial);
+                assert_eq!(serial, want, "{thresholds:?} x {count}");
+                assert_eq!(serial_rng, want_rng, "{thresholds:?} x {count}");
+                let mut dispatched_rng = start.clone();
+                let dispatched = count_above(thresholds, count, &mut dispatched_rng, &mut jumps);
+                assert_eq!(dispatched, want, "{thresholds:?} x {count}");
+                assert_eq!(dispatched_rng, want_rng, "{thresholds:?} x {count}");
+
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    let mut vector_rng = start.clone();
+                    let mut vector = [0u64; 16];
+                    // SAFETY: the CPU supports AVX2, checked just above.
+                    unsafe {
+                        avx2::count_above(&padded, count, &mut vector_rng, &mut jumps, &mut vector)
+                    };
+                    assert_eq!(vector, want, "avx2 {thresholds:?} x {count}");
+                    assert_eq!(vector_rng, want_rng, "avx2 {thresholds:?} x {count}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn binned_draws_keep_one_jump_polynomial_per_segment_length() {
+        let mut cache = BinomialCache::default();
+        let id = cache.prepare(3, 0.2);
+        let sampler = cache.prepared(id);
+        let mut rng = DeterministicRng::new(4);
+        let mut counts = [0u64; 4];
+        let mut jumps = JumpCache::default();
+        for count in [5_000u64, 5_001, 5_007, 9_000, 100] {
+            sampler.sample_binned(count, &mut rng, &mut counts, &mut jumps);
+        }
+        assert_eq!(counts.iter().sum::<u64>(), 24_108);
+        // 5000..=5007 share the segment length 625; 100 draws serially.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(jumps.len(), 2);
+            return;
+        }
+        assert!(jumps.is_empty());
     }
 
     #[test]

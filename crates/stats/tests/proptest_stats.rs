@@ -9,8 +9,8 @@ use redundancy_stats::special::{
     binomial, binomial_pmf, hypergeometric_pmf, ln_binomial, ln_factorial,
 };
 use redundancy_stats::{
-    chi_square_test, BinomialCache, DeterministicRng, Histogram, HypergeometricCache, Proportion,
-    RunningMoments, SeedSequence,
+    chi_square_test, BinomialCache, DeterministicRng, Histogram, HypergeometricCache, JumpCache,
+    Proportion, RunningMoments, SeedSequence,
 };
 
 proptest! {
@@ -107,11 +107,13 @@ proptest! {
     /// `sample`: same bins and the same RNG state afterwards.  `n` spans
     /// the threshold-lane widths (tables of 2..=16 entries) and the
     /// per-draw fallback beyond them; `p > ½` exercises the mirror.
+    /// `count` crosses the lane kernel's 4096-draw cutoff, mostly at
+    /// counts that leave a serial remainder after the 8 lanes.
     #[test]
     fn binomial_binned_draws_match_per_draw_sampling(
         n in 0u64..40,
         p_mill in 0u32..=1000,
-        count in 0u64..2_000,
+        count in 0u64..12_000,
         seed in 0u64..1000,
     ) {
         let p = p_mill as f64 / 1000.0;
@@ -125,7 +127,7 @@ proptest! {
             want[sampler.sample(&mut one_rng) as usize] += 1;
         }
         let mut got = vec![0u64; n as usize + 1];
-        sampler.sample_binned(count, &mut binned_rng, &mut got);
+        sampler.sample_binned(count, &mut binned_rng, &mut got, &mut JumpCache::default());
         prop_assert_eq!(want, got, "n={} p={} count={}", n, p, count);
         prop_assert_eq!(one_rng, binned_rng, "RNG diverged n={} p={}", n, p);
     }
@@ -137,7 +139,7 @@ proptest! {
         total in 1u64..60,
         succ_frac in 0u32..=100,
         draw_frac in 0u32..=100,
-        count in 0u64..2_000,
+        count in 0u64..12_000,
         seed in 0u64..1000,
     ) {
         let successes = total * succ_frac as u64 / 100;
@@ -152,10 +154,31 @@ proptest! {
             want[sampler.sample(&mut one_rng) as usize] += 1;
         }
         let mut got = vec![0u64; draws as usize + 1];
-        sampler.sample_binned(count, &mut binned_rng, &mut got);
+        sampler.sample_binned(count, &mut binned_rng, &mut got, &mut JumpCache::default());
         prop_assert_eq!(want, got, "({},{},{}) count={}", total, successes, draws, count);
         prop_assert_eq!(one_rng, binned_rng,
             "RNG diverged ({},{},{})", total, successes, draws);
+    }
+
+    /// `c < uniform_of(raw)` iff `raw > raw_threshold(c)`, for probabilities
+    /// drawn both by bit pattern (subnormals to 1.5) and uniformly, at a
+    /// random raw draw, at the threshold and the raw just above it, and at
+    /// raws a random offset either side of it.
+    #[test]
+    fn raw_threshold_decides_the_float_comparison(
+        bits in 0u64..=0x3FF8_0000_0000_0000,
+        unit in 0.0f64..1.0,
+        raw in 0u64..=u64::MAX,
+        offset in 0u64..4096,
+    ) {
+        for c in [f64::from_bits(bits), unit] {
+            let r = DeterministicRng::raw_threshold(c);
+            let near = [r, r.saturating_add(1), r.saturating_sub(offset), r.saturating_add(offset)];
+            for x in std::iter::once(raw).chain(near) {
+                prop_assert_eq!(c < DeterministicRng::uniform_of(x), x > r,
+                    "c = {:e}, raw = {:#x}, threshold = {:#x}", c, x, r);
+            }
+        }
     }
 
     /// Hypergeometric samples respect their support bounds.
